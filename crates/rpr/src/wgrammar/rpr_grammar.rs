@@ -18,6 +18,8 @@
 //! and [`check_schema`] validates it — the paper's "syntactically correct"
 //! guarantee of §5.4.
 
+use std::sync::OnceLock;
+
 use eclectic_logic::Signature;
 
 use crate::ast::Stmt;
@@ -543,15 +545,17 @@ pub fn schema_derivation(schema: &Schema) -> Result<DerivTree> {
 }
 
 /// The paper's §5.4 syntactic-correctness check: builds the schema's
-/// derivation tree and validates it against the RPR W-grammar.
+/// derivation tree and validates it against the RPR W-grammar, which is
+/// built once per process.
 ///
 /// # Errors
 /// Returns [`crate::RprError::Grammar`] if some node has no hyperrule
 /// instance — in particular when a statement uses a relation that is not
 /// declared (with that arity) in the SCL part.
 pub fn check_schema(schema: &Schema) -> Result<DerivTree> {
+    static GRAMMAR: OnceLock<WGrammar> = OnceLock::new();
     let tree = schema_derivation(schema)?;
-    validate(&rpr_wgrammar(), &tree)?;
+    validate(GRAMMAR.get_or_init(rpr_wgrammar), &tree)?;
     Ok(tree)
 }
 

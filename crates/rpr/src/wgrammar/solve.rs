@@ -4,12 +4,17 @@
 //! metanotion, a protonotion value that (a) is derivable from the metarules
 //! and (b) is the *same* everywhere the metanotion occurs in the rule — the
 //! consistent substitution of W-grammar theory. The solver searches split
-//! points with backtracking across a whole system of equations, memoising
-//! metalanguage membership tests.
+//! points with backtracking across a whole system of equations. It reads
+//! the admissible splits of a metanotion from one memoised Earley prefix
+//! table per (metanotion, remaining tokens) instead of recognising each
+//! candidate split separately.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use crate::wgrammar::earley::recognizes;
+use eclectic_kernel::FxHashMap;
+
+use crate::wgrammar::earley::accepted_prefixes;
 use crate::wgrammar::hyper::{HyperSym, Hypernotion, Protonotion, WGrammar};
 
 /// A substitution: metanotion → protonotion.
@@ -33,11 +38,15 @@ pub const SOLVE_STEP_LIMIT: usize = 1 << 20;
 /// must not all nest.
 const SOLVE_DEPTH_LIMIT: usize = 4_096;
 
+/// Memoised prefix tables: metanotion → token string → which of its
+/// prefixes the metanotion derives.
+type PrefixMemo = FxHashMap<String, FxHashMap<Protonotion, Arc<[bool]>>>;
+
 /// Solver with memoised metalanguage membership.
 #[derive(Debug)]
 pub struct Solver<'g> {
     grammar: &'g WGrammar,
-    memo: BTreeMap<(String, Protonotion), bool>,
+    memo: PrefixMemo,
     step_limit: usize,
     steps: usize,
     overflowed: bool,
@@ -57,7 +66,7 @@ impl<'g> Solver<'g> {
     pub fn with_step_limit(grammar: &'g WGrammar, step_limit: usize) -> Self {
         Solver {
             grammar,
-            memo: BTreeMap::new(),
+            memo: PrefixMemo::default(),
             step_limit,
             steps: 0,
             overflowed: false,
@@ -85,13 +94,21 @@ impl<'g> Solver<'g> {
 
     /// Whether `tokens` belongs to the metalanguage of `meta`.
     pub fn member(&mut self, meta: &str, tokens: &[String]) -> bool {
-        let key = (meta.to_string(), tokens.to_vec());
-        if let Some(&hit) = self.memo.get(&key) {
-            return hit;
+        self.prefixes(meta, tokens)[tokens.len()]
+    }
+
+    /// Entry `k` says whether `tokens[..k]` belongs to the metalanguage of
+    /// `meta`; one Earley pass per (metanotion, token string), memoised.
+    fn prefixes(&mut self, meta: &str, tokens: &[String]) -> Arc<[bool]> {
+        if let Some(hit) = self.memo.get(meta).and_then(|m| m.get(tokens)) {
+            return Arc::clone(hit);
         }
-        let result = recognizes(&self.grammar.meta, meta, tokens);
-        self.memo.insert(key, result);
-        result
+        let table: Arc<[bool]> = accepted_prefixes(&self.grammar.meta, meta, tokens).into();
+        self.memo
+            .entry(meta.to_string())
+            .or_default()
+            .insert(tokens.to_vec(), Arc::clone(&table));
+        table
     }
 
     /// Solves a system of equations; returns a satisfying substitution.
@@ -117,9 +134,7 @@ impl<'g> Solver<'g> {
         let Some((pattern, tokens)) = eqs.get(idx) else {
             return true;
         };
-        let pattern = pattern.clone();
-        let tokens = tokens.clone();
-        self.match_hyper(&pattern, &tokens, eqs, idx, binding, depth)
+        self.match_hyper(pattern, tokens, eqs, idx, binding, depth)
     }
 
     /// Matches `pat` against `toks`, then continues with the remaining
@@ -143,24 +158,14 @@ impl<'g> Solver<'g> {
                     && self.match_hyper(&pat[1..], &toks[1..], eqs, idx, binding, depth + 1)
             }
             Some(HyperSym::Meta(mv)) => {
-                if let Some(bound) = binding.get(mv).cloned() {
-                    return toks.len() >= bound.len()
-                        && toks[..bound.len()] == bound[..]
-                        && self.match_hyper(
-                            &pat[1..],
-                            &toks[bound.len()..],
-                            eqs,
-                            idx,
-                            binding,
-                            depth + 1,
-                        );
+                if let Some(bound) = binding.get(mv) {
+                    let len = bound.len();
+                    return toks.starts_with(bound)
+                        && self.match_hyper(&pat[1..], &toks[len..], eqs, idx, binding, depth + 1);
                 }
-                for split in 0..=toks.len() {
-                    let candidate = &toks[..split];
-                    if !self.member(mv, candidate) {
-                        continue;
-                    }
-                    binding.insert(mv.clone(), candidate.to_vec());
+                let accepted = self.prefixes(mv, toks);
+                for split in (0..=toks.len()).filter(|&k| accepted[k]) {
+                    binding.insert(mv.clone(), toks[..split].to_vec());
                     if self.match_hyper(&pat[1..], &toks[split..], eqs, idx, binding, depth + 1) {
                         return true;
                     }
@@ -202,9 +207,7 @@ impl<'g> Solver<'g> {
             out.push(binding.clone());
             return;
         };
-        let pattern = pattern.clone();
-        let tokens = tokens.clone();
-        self.match_hyper_all(&pattern, &tokens, eqs, idx, binding, out, cap, depth);
+        self.match_hyper_all(pattern, tokens, eqs, idx, binding, out, cap, depth);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -234,11 +237,12 @@ impl<'g> Solver<'g> {
                 }
             }
             Some(HyperSym::Meta(mv)) => {
-                if let Some(bound) = binding.get(mv).cloned() {
-                    if toks.len() >= bound.len() && toks[..bound.len()] == bound[..] {
+                if let Some(bound) = binding.get(mv) {
+                    let len = bound.len();
+                    if toks.starts_with(bound) {
                         self.match_hyper_all(
                             &pat[1..],
-                            &toks[bound.len()..],
+                            &toks[len..],
                             eqs,
                             idx,
                             binding,
@@ -249,12 +253,9 @@ impl<'g> Solver<'g> {
                     }
                     return;
                 }
-                for split in 0..=toks.len() {
-                    let candidate = &toks[..split];
-                    if !self.member(mv, candidate) {
-                        continue;
-                    }
-                    binding.insert(mv.clone(), candidate.to_vec());
+                let accepted = self.prefixes(mv, toks);
+                for split in (0..=toks.len()).filter(|&k| accepted[k]) {
+                    binding.insert(mv.clone(), toks[..split].to_vec());
                     self.match_hyper_all(&pat[1..], &toks[split..], eqs, idx, binding, out, cap, depth + 1);
                     binding.remove(mv);
                     if self.overflowed {

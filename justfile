@@ -76,6 +76,12 @@ fuzz-smoke:
 fuzz:
     timeout 900 cargo run -p eclectic-bench --bin bench_scenarios --release
 
+# The repo benchmark declared in BENCHMARK.json: every workload end to end
+# (tracing off), then the per-layer traced run.
+perfbench:
+    cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- --workload all --seed 1 --seconds 25 --trace 0
+    cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- --workload all --seed 1 --seconds 25 --trace 1
+
 # Every benchmark artifact in one shot: harness + all parallel benches,
 # closing with the starved-host warning status recorded in the artifacts.
 bench-all: harness bench-reach bench-verify bench-pdl bench-rel bench-rel-large bench-sched fuzz
