@@ -1,58 +1,242 @@
-//! Demand-driven reflexive-transitive closure — the formula-directed
-//! layer between the relation backends and the PDL/RPR semantics.
+//! Reflexive-transitive closure by strongly connected components, and the
+//! demand-driven closure layer between the relation backends and the
+//! PDL/RPR semantics.
 //!
-//! Materializing `m(p*)` eagerly closes **all** `n` source rows of the
-//! underlying transition relation, even when the enclosing formula only
-//! ever asks three questions about the closure: *which rows does this
-//! source reach* (composition), *do all reached rows satisfy φ* (box),
-//! *does some reached row satisfy φ* (diamond). A [`LazyClosure`] wraps
-//! a borrowed base [`Rel`] and answers exactly those questions,
-//! expanding the per-source semi-naive fixpoint only for the sources
-//! actually demanded:
+//! Two reachability questions share one primitive, the
+//! [`Condensation`] of a relation: an iterative Tarjan pass that groups
+//! the nodes into strongly connected components (SCCs) and numbers the
+//! components in the order Tarjan emits them, sinks first, so every edge
+//! leads to a component with an equal or smaller number. Every node of
+//! one SCC reaches exactly the same nodes, so any question about
+//! `m(p*)` is answered once per component, by dynamic programming over
+//! that order:
 //!
-//! - [`row`](LazyClosure::row) runs one per-source fixpoint on first
-//!   demand and memoizes the sorted reachable set (4 bytes per entry,
-//!   charged against the budget's relation-memory axis);
-//! - [`box_star_states`](LazyClosure::box_star_states) and
-//!   [`diamond_star_states`](LazyClosure::diamond_star_states) answer
-//!   modal sweeps over the *whole* closure without materializing any
-//!   row: a per-source traversal stops at the first violation (box) or
-//!   first witness (diamond), and two verdict memos shared across the
-//!   sweep (`good`/`bad`, resp. `yes`/`no`) make the total sweep cost
-//!   near-linear in the edge count — once a node's subtree verdict is
-//!   known, no later source re-explores it;
-//! - [`materialize_governed`](LazyClosure::materialize_governed)
-//!   produces the full closure `Rel` when a caller really needs one.
-//!   With an empty memo it delegates to the backend's parallel
-//!   `closure_governed` (bit-identical to the eager path at every
-//!   worker count); with memoized rows it merges them in serial row
-//!   order, so reports stay deterministic.
+//! - the compressed backend's closure (`CompressedRel::closure_governed`)
+//!   builds each component's row once, from its members and the rows of
+//!   its successor components, and copies it to every member;
+//! - a [`LazyClosure`] answers the modal sweeps
+//!   [`box_star_states`](LazyClosure::box_star_states) (`[p*]φ`) and
+//!   [`diamond_star_states`](LazyClosure::diamond_star_states) (`⟨p*⟩φ`)
+//!   without materializing any row: a component is box-true iff every
+//!   member satisfies `φ` and every successor component is box-true, and
+//!   diamond-true iff some member satisfies `φ` or some successor
+//!   component is diamond-true. One condensation, built by the first
+//!   sweep, serves every later sweep over the same closure, and each
+//!   sweep costs O(V + E).
 //!
-//! The verdict memos are sound because reachability is transitive:
-//! every node visited during a *completed* clean box traversal from
-//! `s` only reaches nodes reachable from `s`, so "all reachable
-//! satisfy" transfers from `s` to each visited node — and dually for
-//! the exhausted diamond traversal. Verdicts are semantic (a property
-//! of the pair set, not the traversal order), so sweeps are
-//! deterministic at any demand order.
+//! A [`LazyClosure`] also answers *which rows does this source reach*
+//! ([`row`](LazyClosure::row): one breadth-first search on first demand,
+//! memoized, 4 bytes per entry charged against the budget's
+//! relation-memory axis) and materializes the full closure
+//! ([`materialize_governed`](LazyClosure::materialize_governed)). With an
+//! empty memo that delegates to the backend's `closure_governed`
+//! (bit-identical to the eager path at every worker count); with
+//! memoized rows it merges them in serial row order, so reports stay
+//! deterministic. The per-source memo and its traversal scratch are
+//! allocated only when a row is demanded; the sweeps never touch them.
+//!
+//! Every pass here is iterative (no recursion, so a million-node chain
+//! cannot overflow the stack) and polls its budget at least every
+//! [`ROW_POLL_STRIDE`] traversal steps, swept nodes or output rows.
 
 use crate::bitmat::ROW_POLL_STRIDE;
 use crate::budget::{Budget, BudgetExceeded};
 use crate::rel::Rel;
 
+/// Polls a budget once every [`ROW_POLL_STRIDE`] ticks, the first tick
+/// included; a tick is one traversal step, swept node or output row.
+pub(crate) struct Poller<'b> {
+    budget: &'b Budget,
+    ticks: usize,
+}
+
+impl<'b> Poller<'b> {
+    pub(crate) fn new(budget: &'b Budget) -> Self {
+        Poller { budget, ticks: 0 }
+    }
+
+    /// Counts one tick; on a polling tick, checks the timing axes and the
+    /// relation-memory axis against `bytes` materialized so far.
+    pub(crate) fn tick(&mut self, bytes: usize) -> Result<(), BudgetExceeded> {
+        let due = self.ticks.is_multiple_of(ROW_POLL_STRIDE);
+        self.ticks += 1;
+        match due.then(|| self.budget.check_rel(bytes)).flatten() {
+            Some(reason) => Err(reason),
+            None => Ok(()),
+        }
+    }
+}
+
+/// A directed graph over `0..nodes()` whose successors can be sought in
+/// ascending order — what the SCC pass walks.
+pub(crate) trait Successors {
+    /// Number of nodes.
+    fn nodes(&self) -> usize;
+    /// The least successor of `v` that is `>= from`, if any.
+    fn succ_from(&self, v: usize, from: usize) -> Option<usize>;
+}
+
+impl Successors for Rel {
+    fn nodes(&self) -> usize {
+        self.dim()
+    }
+
+    fn succ_from(&self, v: usize, from: usize) -> Option<usize> {
+        match self {
+            Rel::Dense(m) => first_set_from(m.row(v), from),
+            Rel::Sparse(m) => {
+                let row = m.row(v);
+                row.get(row.partition_point(|&c| (c as usize) < from))
+                    .map(|&c| c as usize)
+            }
+            Rel::Compressed(m) => m.succ_from(v, from),
+        }
+    }
+}
+
+/// The least set bit `>= from` of a bit row stored in `u64` words.
+pub(crate) fn first_set_from(words: &[u64], from: usize) -> Option<usize> {
+    let mut k = from >> 6;
+    let mut word = words.get(k)? & (!0u64 << (from & 63));
+    while word == 0 {
+        k += 1;
+        word = *words.get(k)?;
+    }
+    Some((k << 6) + word.trailing_zeros() as usize)
+}
+
+/// Marks an unvisited node or a node whose component is still open.
+const UNSET: u32 = u32::MAX;
+
+/// The strongly connected components of a graph, numbered sinks first:
+/// every edge `u → v` has `comp(v) <= comp(u)`.
+pub(crate) struct Condensation {
+    /// Component of each node.
+    comp: Vec<u32>,
+    /// Nodes grouped by component, ascending within each component.
+    members: Vec<u32>,
+    /// Component `c`'s members are `members[start[c]..start[c + 1]]`.
+    start: Vec<u32>,
+}
+
+impl Condensation {
+    /// Condenses `g` by one iterative Tarjan pass (roots in ascending
+    /// order), ticking `poll` with `bytes` once per traversal step (one
+    /// successor sought), so even a deep descent is polled.
+    ///
+    /// # Errors
+    /// Returns the tripped budget axis.
+    ///
+    /// # Panics
+    /// Panics if `g` has `u32::MAX` nodes or more.
+    pub(crate) fn new<G: Successors + ?Sized>(
+        g: &G,
+        poll: &mut Poller<'_>,
+        bytes: usize,
+    ) -> Result<Self, BudgetExceeded> {
+        let n = g.nodes();
+        assert!(n < UNSET as usize, "graph exceeds u32 node space");
+        // Discovery index and low-link of each visited node; a visited
+        // node whose `comp` is still UNSET is on the Tarjan stack.
+        let mut index = vec![UNSET; n];
+        let mut low = vec![0u32; n];
+        let mut comp = vec![UNSET; n];
+        let mut members = Vec::with_capacity(n);
+        let mut start = vec![0u32];
+        let mut stack: Vec<u32> = Vec::new();
+        // The explicit call stack: (node, next successor column to seek).
+        // `t + 1` fits: nodes are below `u32::MAX`.
+        let mut frames: Vec<(u32, u32)> = Vec::new();
+        let mut next_index = 0u32;
+        for root in 0..n {
+            if index[root] != UNSET {
+                continue;
+            }
+            let mut enter = Some(root);
+            loop {
+                if let Some(v) = enter.take() {
+                    index[v] = next_index;
+                    low[v] = next_index;
+                    next_index += 1;
+                    stack.push(v as u32);
+                    frames.push((v as u32, 0));
+                }
+                let Some(&(v, from)) = frames.last() else {
+                    break;
+                };
+                poll.tick(bytes)?;
+                let v = v as usize;
+                if let Some(t) = g.succ_from(v, from as usize) {
+                    frames.last_mut().expect("frame").1 = t as u32 + 1;
+                    if index[t] == UNSET {
+                        enter = Some(t);
+                    } else if comp[t] == UNSET {
+                        low[v] = low[v].min(index[t]);
+                    }
+                    continue;
+                }
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    let p = parent as usize;
+                    low[p] = low[p].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let c = (start.len() - 1) as u32;
+                    let first = members.len();
+                    loop {
+                        let w = stack.pop().expect("v is on the stack");
+                        comp[w as usize] = c;
+                        members.push(w);
+                        if w as usize == v {
+                            break;
+                        }
+                    }
+                    members[first..].sort_unstable();
+                    start.push(members.len() as u32);
+                }
+            }
+        }
+        Ok(Condensation {
+            comp,
+            members,
+            start,
+        })
+    }
+
+    /// Number of components.
+    pub(crate) fn components(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The component of node `v`.
+    pub(crate) fn comp(&self, v: usize) -> usize {
+        self.comp[v] as usize
+    }
+
+    /// The nodes of component `c`, ascending.
+    pub(crate) fn members(&self, c: usize) -> &[u32] {
+        &self.members[self.start[c] as usize..self.start[c + 1] as usize]
+    }
+}
+
 /// A demand-driven view of `base*` (the reflexive-transitive closure of
-/// a borrowed base relation) with per-source memoization.
+/// a borrowed base relation): memoized per-source rows and modal sweeps
+/// over one shared condensation.
 pub struct LazyClosure<'a> {
     base: &'a Rel,
     /// Memoized closure rows, indexed by source; `None` = not demanded.
+    /// Empty until the first [`row`](Self::row) demand.
     memo: Vec<Option<Box<[u32]>>>,
     /// Number of memoized rows.
     filled: usize,
     /// Raw bytes held by the memo (4 per entry), charged to the
     /// relation-memory budget axis.
     bytes: usize,
-    /// Reusable membership scratch for traversals, `base.dim()` flags.
+    /// Reusable membership scratch for row traversals, `base.dim()`
+    /// flags once a row is demanded.
     scratch: Vec<bool>,
+    /// The base relation's condensation, built by the first sweep.
+    cond: Option<Condensation>,
 }
 
 impl<'a> LazyClosure<'a> {
@@ -65,6 +249,7 @@ impl<'a> LazyClosure<'a> {
             filled: 0,
             bytes: 0,
             scratch: Vec::new(),
+            cond: None,
         }
     }
 
@@ -86,18 +271,9 @@ impl<'a> LazyClosure<'a> {
         self.bytes
     }
 
-    fn ensure_scratch(&mut self) {
-        if self.scratch.is_empty() {
-            self.scratch = vec![false; self.base.dim()];
-        }
-        if self.memo.is_empty() {
-            self.memo = (0..self.base.dim()).map(|_| None).collect();
-        }
-    }
-
     /// The sorted closure row of `src`: every node reachable from `src`
     /// in the base relation, including `src` itself. Computed by one
-    /// semi-naive fixpoint on first demand, memoized after.
+    /// breadth-first search on first demand, memoized after.
     ///
     /// # Errors
     /// Returns the tripped axis; the memo keeps previously demanded rows.
@@ -105,18 +281,22 @@ impl<'a> LazyClosure<'a> {
     /// # Panics
     /// Panics if `src` is out of range.
     pub fn row(&mut self, src: usize, budget: &Budget) -> Result<&[u32], BudgetExceeded> {
-        assert!(src < self.base.dim(), "closure source out of range");
-        self.ensure_scratch();
+        let d = self.base.dim();
+        assert!(src < d, "closure source out of range");
+        if self.memo.is_empty() {
+            self.memo = (0..d).map(|_| None).collect();
+            self.scratch = vec![false; d];
+        }
         if self.memo[src].is_none() {
             if let Some(reason) = budget.check_rel(self.bytes) {
                 return Err(reason);
             }
             let mut reach: Vec<u32> = vec![src as u32];
             self.scratch[src] = true;
-            let mut delta = 0usize;
-            while delta < reach.len() {
-                let x = reach[delta] as usize;
-                delta += 1;
+            let mut next = 0usize;
+            while next < reach.len() {
+                let x = reach[next] as usize;
+                next += 1;
                 for t in self.base.iter_row(x) {
                     if !self.scratch[t] {
                         self.scratch[t] = true;
@@ -140,7 +320,7 @@ impl<'a> LazyClosure<'a> {
     /// restricted to the universe, but traversal still passes through
     /// out-of-universe intermediate nodes).
     ///
-    /// With an empty memo this delegates to the backend's parallel
+    /// With an empty memo this delegates to the backend's
     /// `closure_governed` — the eager fast path, bit-identical at every
     /// worker count. With memoized rows it merges per-source rows in
     /// serial row order (demanding the missing ones), so the result is
@@ -173,11 +353,8 @@ impl<'a> LazyClosure<'a> {
                     return Err(reason);
                 }
             }
-            self.row(src, budget)?;
-            if let Some(row) = &self.memo[src] {
-                for &c in row.iter() {
-                    out.set(src, c as usize);
-                }
+            for &c in self.row(src, budget)? {
+                out.set(src, c as usize);
             }
         }
         Ok(out)
@@ -188,12 +365,6 @@ impl<'a> LazyClosure<'a> {
     /// `i`) lies in `inner`; reached nodes `>= inner.len()` count as
     /// unsatisfied — exactly `closure.box_states(inner)` after a
     /// `star_governed(inner.len())`.
-    ///
-    /// Each source's traversal stops at the first violation, and two
-    /// sweep-wide verdict memos (`good`: all reachable satisfy; `bad`:
-    /// reaches a violation) prevent re-exploration, so the whole sweep
-    /// is near-linear in the edge count. `budget` is polled every
-    /// [`ROW_POLL_STRIDE`] sources with the memo's byte footprint.
     ///
     /// # Errors
     /// Returns the tripped axis; partial verdicts are discarded.
@@ -211,9 +382,7 @@ impl<'a> LazyClosure<'a> {
     /// One `⟨p*⟩`-modality sweep over the closure without materializing
     /// it: `out[i]` is true iff some node reachable from `i` (including
     /// `i`) lies in `inner` — exactly `closure.diamond_states(inner)`
-    /// after a `star_governed(inner.len())`. Dual memoization to
-    /// [`box_star_states`](Self::box_star_states) (`yes`: reaches a
-    /// witness; `no`: reaches none).
+    /// after a `star_governed(inner.len())`.
     ///
     /// # Errors
     /// Returns the tripped axis; partial verdicts are discarded.
@@ -228,130 +397,47 @@ impl<'a> LazyClosure<'a> {
         self.sweep(inner, budget, false)
     }
 
-    /// Shared pruned-sweep engine. For `is_box` the verdict memos read
-    /// "all reachable satisfy" / "reaches a violation"; for diamond they
-    /// read "reaches a witness" / "reaches none" — the traversal is the
-    /// same with the polarity flipped.
+    /// Shared sweep: one pass over the components, sinks first. A box
+    /// verdict starts true and turns false on an unsatisfied member or a
+    /// box-false successor; a diamond verdict starts false and turns
+    /// true on a satisfied member or a diamond-true successor.
     fn sweep(
         &mut self,
         inner: &[bool],
         budget: &Budget,
         is_box: bool,
     ) -> Result<Vec<bool>, BudgetExceeded> {
-        let d = self.base.dim();
-        assert!(inner.len() <= d, "sweep sources exceed base dimension");
-        self.ensure_scratch();
-        let sat = |t: usize| t < inner.len() && inner[t];
-        // For box: settled_pos = "all reachable satisfy", settled_neg =
-        // "reaches a violation". For diamond: settled_pos = "reaches a
-        // witness", settled_neg = "reaches none". The *positive* verdict
-        // is the one that lets a clean/exhausted traversal settle every
-        // visited node at once (box: clean completion; diamond:
-        // exhaustion settles the negative — polarity handled below).
-        let mut settled_all = vec![false; d];
-        let mut settled_one = vec![false; d];
-        let mut out = vec![false; inner.len()];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut visited: Vec<u32> = Vec::new();
-        for (i, slot) in out.iter_mut().enumerate() {
-            if i % ROW_POLL_STRIDE == 0 {
-                if let Some(reason) = budget.check_rel(self.bytes) {
-                    return Err(reason);
-                }
-            }
-            if is_box {
-                if settled_all[i] {
-                    *slot = true;
-                    continue;
-                }
-                if settled_one[i] || !sat(i) {
-                    settled_one[i] = true;
-                    continue;
-                }
-            } else {
-                if settled_one[i] {
-                    *slot = true;
-                    continue;
-                }
-                if settled_all[i] {
-                    continue;
-                }
-                if sat(i) {
-                    settled_one[i] = true;
-                    *slot = true;
-                    continue;
-                }
-            }
-            // Depth-first reachability from `i`; verdicts are semantic,
-            // so the traversal order never shows in the output.
-            visited.clear();
-            stack.clear();
-            self.scratch[i] = true;
-            visited.push(i as u32);
-            stack.push(i as u32);
-            // For box, `short` means "violation found"; for diamond,
-            // "witness found".
-            let mut short = false;
-            'dfs: while let Some(x) = stack.pop() {
-                for t in self.base.iter_row(x as usize) {
-                    if self.scratch[t] {
-                        continue;
-                    }
-                    if is_box {
-                        if settled_one[t] || !sat(t) {
-                            if !sat(t) && t < d {
-                                settled_one[t] = true;
-                            }
-                            short = true;
-                            break 'dfs;
-                        }
-                        self.scratch[t] = true;
-                        visited.push(t as u32);
-                        if !settled_all[t] {
-                            stack.push(t as u32);
-                        }
-                    } else {
-                        if settled_one[t] || sat(t) {
-                            if sat(t) {
-                                settled_one[t] = true;
-                            }
-                            short = true;
-                            break 'dfs;
-                        }
-                        self.scratch[t] = true;
-                        visited.push(t as u32);
-                        if !settled_all[t] {
-                            stack.push(t as u32);
-                        }
-                    }
-                }
-            }
-            for &v in &visited {
-                self.scratch[v as usize] = false;
-            }
-            if is_box {
-                if short {
-                    settled_one[i] = true;
-                } else {
-                    // Clean completion: everything reachable from any
-                    // visited node is reachable from `i`, hence satisfies.
-                    for &v in &visited {
-                        settled_all[v as usize] = true;
-                    }
-                    *slot = true;
-                }
-            } else if short {
-                settled_one[i] = true;
-                *slot = true;
-            } else {
-                // Exhausted without a witness: nothing reachable from any
-                // visited node satisfies.
-                for &v in &visited {
-                    settled_all[v as usize] = true;
-                }
-            }
+        assert!(
+            inner.len() <= self.base.dim(),
+            "sweep sources exceed base dimension"
+        );
+        let mut poll = Poller::new(budget);
+        if self.cond.is_none() {
+            self.cond = Some(Condensation::new(self.base, &mut poll, self.bytes)?);
         }
-        Ok(out)
+        let cond = self.cond.as_ref().expect("just built");
+        let sat = |t: usize| t < inner.len() && inner[t];
+        let mut holds = vec![false; cond.components()];
+        for c in 0..cond.components() {
+            let mut verdict = is_box;
+            'members: for &m in cond.members(c) {
+                poll.tick(self.bytes)?;
+                let m = m as usize;
+                if sat(m) != is_box {
+                    verdict = !is_box;
+                    break;
+                }
+                for t in self.base.iter_row(m) {
+                    let e = cond.comp(t);
+                    if e != c && holds[e] != is_box {
+                        verdict = !is_box;
+                        break 'members;
+                    }
+                }
+            }
+            holds[c] = verdict;
+        }
+        Ok((0..inner.len()).map(|i| holds[cond.comp(i)]).collect())
     }
 }
 
@@ -366,6 +452,28 @@ mod tests {
             m.set(a, b);
         }
         m
+    }
+
+    #[test]
+    fn condensation_numbers_components_sinks_first() {
+        // 0 ⇄ 1 → 2 → 3 ⇄ 4, plus 5 isolated with a self-loop.
+        let pairs = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 3), (5, 5)];
+        for backend in [
+            RelBackend::Dense,
+            RelBackend::Sparse,
+            RelBackend::Compressed,
+        ] {
+            let g = from_pairs(6, backend, &pairs);
+            let budget = Budget::unlimited();
+            let cond = Condensation::new(&g, &mut Poller::new(&budget), 0).unwrap();
+            assert_eq!(cond.components(), 4, "{backend:?}");
+            assert_eq!(cond.comp(0), cond.comp(1));
+            assert_eq!(cond.comp(3), cond.comp(4));
+            assert_eq!(cond.members(cond.comp(1)), &[0, 1]);
+            for (a, b) in g.iter() {
+                assert!(cond.comp(b) <= cond.comp(a), "edge {a}->{b} on {backend:?}");
+            }
+        }
     }
 
     #[test]
@@ -437,8 +545,8 @@ mod tests {
             for r in n..12 {
                 closed.clear_row(r);
             }
-            // Several formulas over the same closure reuse the verdict
-            // memos; each must still match the eager sweep.
+            // Several formulas over the same closure share one
+            // condensation; each must still match the eager sweep.
             let inners = [
                 vec![true; n],
                 vec![false; n],
@@ -452,20 +560,16 @@ mod tests {
                     closed.box_states(inner),
                     "box {inner:?} on {backend:?}"
                 );
-            }
-            let mut lazy_d = LazyClosure::new(&base);
-            for inner in &inners {
                 assert_eq!(
-                    lazy_d
-                        .diamond_star_states(inner, &Budget::unlimited())
+                    lazy.diamond_star_states(inner, &Budget::unlimited())
                         .unwrap(),
                     closed.diamond_states(inner),
                     "diamond {inner:?} on {backend:?}"
                 );
             }
-            // Sweeps never materialized anything.
+            // Sweeps never materialized anything, nor allocated the memo.
             assert_eq!(lazy.memoized_rows(), 0);
-            assert_eq!(lazy_d.memoized_rows(), 0);
+            assert!(lazy.memo.is_empty() && lazy.scratch.is_empty());
         }
     }
 

@@ -4,7 +4,7 @@
 //! A [`CompressedRel`] stores an `n × n` boolean matrix as one
 //! [`CompressedRow`] per row; each row splits its column set into
 //! 2¹⁶-aligned chunks (Roaring-style), and every chunk is held by the
-//! smallest of three [`Container`] encodings:
+//! smallest of three encodings:
 //!
 //! - **Array** — a sorted `u16` list, 2 bytes per entry; best below ~4k
 //!   entries per chunk.
@@ -23,8 +23,23 @@
 //! scattered `set` calls may therefore be larger than its normalized
 //! form, but never asymptotically so.
 //!
-//! Every container caches its cardinality, so [`Container::len`] is O(1)
-//! and row/relation counts are sums over containers, not entries.
+//! # Row layout
+//!
+//! Every row is one fixed-size slot ([`ROW_SLOT`] bytes). A row whose only
+//! chunk is an array of at most [`INLINE_VALS`] values or a run list of at
+//! most [`INLINE_RUNS`] runs lives inside its slot, with no heap
+//! allocation — every row of a block-ring relation and of its closure
+//! does. Any other row holds a boxed slice of `(chunk key, container)`
+//! pairs, and every container caches its cardinality, so row and relation
+//! counts are sums over chunks, not entries.
+//!
+//! # Byte accounting
+//!
+//! [`CompressedRel::byte_size`] is what the relation holds: `n` row slots
+//! plus, for heap rows, the chunk slice and each container's payload at
+//! its allocated capacity (2 bytes per array slot, 8192 per bitmap, 4 per
+//! run slot). Allocator rounding aside, that is the memory the process
+//! spends, so the relation-memory budget governs real bytes.
 //!
 //! # Iteration order
 //!
@@ -34,23 +49,29 @@
 //! lexicographic `(r, c)` order a `BTreeSet<(usize, usize)>` would
 //! produce — the same contract the dense and sparse backends uphold.
 //!
-//! # Parallelism and budgets
+//! # Closure, parallelism and budgets
 //!
-//! `compose` and the closure fan output rows across
-//! [`effective_workers`] in contiguous chunks, exactly like the other
-//! kernels; each output row depends only on the inputs, so results are
-//! bit-identical at every worker count. The `*_governed` variants poll a
-//! [`Budget`] every [`ROW_POLL_STRIDE`] rows through
-//! [`Budget::check_rel`], passing the *estimated bytes* the operation
-//! has materialized so far (see [`CompressedRow::byte_size`] for the
-//! formula), so a runaway closure trips `RelMemory` instead of OOMing.
+//! The closure condenses the relation into strongly connected components
+//! ([`crate::closure`]) and builds each component's row once — its
+//! members plus the rows of its successor components, run-merged and
+//! normalized — then copies it to every member. That pass is serial, so
+//! its output is identical at every worker count. `compose` fans output
+//! rows across [`effective_workers`] in contiguous chunks, exactly like
+//! the other kernels; each output row depends only on the inputs, so
+//! results are bit-identical at every worker count. Both `*_governed`
+//! variants poll a [`Budget`] at least every [`ROW_POLL_STRIDE`] rows or
+//! traversal steps through [`Budget::check_rel`], passing the bytes the
+//! output holds so far, so a runaway closure trips `RelMemory` instead of
+//! OOMing.
 //!
 //! [`set`]: CompressedRel::set
 
+use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::bitmat::{row_task_chunk, ROW_POLL_STRIDE};
 use crate::budget::{Budget, BudgetExceeded};
+use crate::closure::{first_set_from, Condensation, Poller, Successors};
 use crate::envcfg::{effective_workers, par_min_dim};
 
 /// Columns per chunk: each container covers one 2¹⁶-aligned column range.
@@ -70,11 +91,23 @@ const ARRAY_MAX: usize = BITMAP_BYTES / 2;
 /// the run list's `4 · runs` bytes reach the bitmap's flat 8192.
 const RUNS_MAX: usize = BITMAP_BYTES / 4;
 
-/// Estimated bookkeeping bytes charged per container (chunk key,
-/// discriminant, cached cardinality) in the byte-accounting formula.
-pub(crate) const CONTAINER_OVERHEAD: usize = 8;
+/// Most values a one-chunk array row holds inside its slot.
+const INLINE_VALS: usize = 8;
 
-/// One 2¹⁶-column chunk of a row, in whichever encoding is smallest.
+/// Most runs a one-chunk run row holds inside its slot.
+const INLINE_RUNS: usize = 4;
+
+/// Bytes of one row slot.
+pub(crate) const ROW_SLOT: usize = size_of::<CompressedRow>();
+
+// A million-row relation must cost tens of MiB, not hundreds.
+const _: () = assert!(ROW_SLOT <= 32, "row slot exceeds 32 bytes");
+
+/// Bytes of one `(chunk key, container)` entry of a heap row.
+pub(crate) const CHUNK_SLOT: usize = size_of::<(u32, Container)>();
+
+/// One heap-held 2¹⁶-column chunk of a row, in whichever encoding is
+/// smallest.
 #[derive(Debug, Clone)]
 enum Container {
     /// Sorted, deduplicated values (2 bytes each).
@@ -97,35 +130,21 @@ enum Container {
 }
 
 impl Container {
-    /// Cardinality, O(1) (cached for bitmap and run encodings).
-    fn len(&self) -> usize {
+    /// A borrowed view of the chunk.
+    fn view(&self) -> View<'_> {
         match self {
-            Container::Array(v) => v.len(),
-            Container::Bitmap { len, .. } | Container::Runs { len, .. } => *len as usize,
+            Container::Array(vals) => View::Array(vals),
+            Container::Bitmap { words, len } => View::Bitmap(words, *len),
+            Container::Runs { runs, len } => View::Runs(runs, *len),
         }
     }
 
-    /// Estimated payload bytes of this encoding (excluding
-    /// [`CONTAINER_OVERHEAD`]).
-    fn bytes(&self) -> usize {
+    /// Heap bytes of the payload, at allocated capacity.
+    fn heap_bytes(&self) -> usize {
         match self {
-            Container::Array(v) => 2 * v.len(),
+            Container::Array(vals) => 2 * vals.capacity(),
             Container::Bitmap { .. } => BITMAP_BYTES,
-            Container::Runs { runs, .. } => 4 * runs.len(),
-        }
-    }
-
-    /// Whether `v` is present.
-    fn contains(&self, v: u16) -> bool {
-        match self {
-            Container::Array(vals) => vals.binary_search(&v).is_ok(),
-            Container::Bitmap { words, .. } => {
-                words[usize::from(v) >> 6] & (1u64 << (v & 63)) != 0
-            }
-            Container::Runs { runs, .. } => {
-                let i = runs.partition_point(|&(s, _)| s <= v);
-                i > 0 && runs[i - 1].1 >= v
-            }
+            Container::Runs { runs, .. } => 4 * runs.capacity(),
         }
     }
 
@@ -176,93 +195,17 @@ impl Container {
                 }
                 *len += 1;
                 if runs.len() > RUNS_MAX {
-                    let mut expanded: Vec<(u32, u32)> = Vec::with_capacity(runs.len());
-                    for &(s, e) in runs.iter() {
-                        expanded.push((u32::from(s), u32::from(e)));
-                    }
+                    let expanded: Vec<(u32, u32)> = runs
+                        .iter()
+                        .map(|&(s, e)| (u32::from(s), u32::from(e)))
+                        .collect();
                     *self = from_runs32(&expanded).expect("non-empty runs");
                 }
                 true
             }
         }
     }
-
-    /// Appends this container's maximal runs to `out` as inclusive u32
-    /// interval bounds within `0..65536`.
-    fn extend_runs(&self, out: &mut Vec<(u32, u32)>) {
-        match self {
-            Container::Array(vals) => {
-                let mut it = vals.iter().copied();
-                if let Some(first) = it.next() {
-                    let mut cur = (u32::from(first), u32::from(first));
-                    for v in it {
-                        let v = u32::from(v);
-                        if v == cur.1 + 1 {
-                            cur.1 = v;
-                        } else {
-                            out.push(cur);
-                            cur = (v, v);
-                        }
-                    }
-                    out.push(cur);
-                }
-            }
-            Container::Bitmap { words, .. } => {
-                let mut cur: Option<(u32, u32)> = None;
-                for (k, &w) in words.iter().enumerate() {
-                    let mut w = w;
-                    while w != 0 {
-                        let v = (k as u32) * 64 + w.trailing_zeros();
-                        w &= w - 1;
-                        match cur {
-                            Some((_, last)) if last + 1 == v => cur = cur.map(|(s, _)| (s, v)),
-                            Some(done) => {
-                                out.push(done);
-                                cur = Some((v, v));
-                            }
-                            None => cur = Some((v, v)),
-                        }
-                    }
-                }
-                if let Some(done) = cur {
-                    out.push(done);
-                }
-            }
-            Container::Runs { runs, .. } => {
-                for &(s, e) in runs {
-                    out.push((u32::from(s), u32::from(e)));
-                }
-            }
-        }
-    }
-
-    /// Ascending iterator over the container's values.
-    fn iter(&self) -> ContainerIter<'_> {
-        match self {
-            Container::Array(vals) => ContainerIter::Array(vals.iter()),
-            Container::Bitmap { words, .. } => ContainerIter::Bitmap {
-                words: &words[..],
-                k: 0,
-                word: 0,
-            },
-            Container::Runs { runs, .. } => ContainerIter::Runs {
-                runs: runs.iter(),
-                cur: None,
-            },
-        }
-    }
 }
-
-/// Semantic equality: same value set, regardless of encoding (a
-/// `set`-built array and a closure-built run list may hold the same
-/// chunk).
-impl PartialEq for Container {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for Container {}
 
 /// Builds a bitmap container from sorted, deduplicated values.
 fn bitmap_from_sorted(vals: &[u16]) -> Container {
@@ -289,11 +232,7 @@ fn from_runs32(runs: &[(u32, u32)]) -> Option<Container> {
     let run_bytes = 4 * runs.len();
     if array_bytes <= run_bytes && array_bytes <= BITMAP_BYTES {
         let mut vals = Vec::with_capacity(card);
-        for &(s, e) in runs {
-            for v in s..=e {
-                vals.push(v as u16);
-            }
-        }
+        vals.extend(runs.iter().flat_map(|&(s, e)| (s..=e).map(|v| v as u16)));
         Some(Container::Array(vals))
     } else if run_bytes <= BITMAP_BYTES {
         Some(Container::Runs {
@@ -314,7 +253,7 @@ fn from_runs32(runs: &[(u32, u32)]) -> Option<Container> {
     }
 }
 
-/// Merges two sorted maximal-run sequences into their coalesced union.
+/// Merges two sorted run sequences into their coalesced union.
 fn union_runs(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
     let mut out: Vec<(u32, u32)> = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
@@ -337,7 +276,7 @@ fn union_runs(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
     out
 }
 
-/// Intersects two sorted maximal-run sequences.
+/// Intersects two sorted, disjoint run sequences.
 fn intersect_runs(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
     let mut out: Vec<(u32, u32)> = Vec::new();
     let (mut i, mut j) = (0, 0);
@@ -356,8 +295,103 @@ fn intersect_runs(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
     out
 }
 
-/// Ascending iterator over one container's values (`0..65536`).
-enum ContainerIter<'a> {
+/// Cardinality of a run list.
+fn run_card(runs: &[(u16, u16)]) -> u32 {
+    runs.iter()
+        .map(|&(s, e)| u32::from(e) - u32::from(s) + 1)
+        .sum()
+}
+
+/// A borrowed chunk in any encoding, held on the heap or inside a row
+/// slot, with its cardinality.
+#[derive(Clone, Copy)]
+enum View<'a> {
+    /// Sorted values.
+    Array(&'a [u16]),
+    /// Flat bitmap and its popcount.
+    Bitmap(&'a [u64; BITMAP_WORDS], u32),
+    /// Coalesced runs and their total cardinality.
+    Runs(&'a [(u16, u16)], u32),
+}
+
+impl<'a> View<'a> {
+    /// Cardinality, O(1).
+    fn len(self) -> usize {
+        match self {
+            View::Array(vals) => vals.len(),
+            View::Bitmap(_, len) | View::Runs(_, len) => len as usize,
+        }
+    }
+
+    /// Whether `v` is present.
+    fn contains(self, v: u16) -> bool {
+        match self {
+            View::Array(vals) => vals.binary_search(&v).is_ok(),
+            View::Bitmap(words, _) => words[usize::from(v) >> 6] & (1u64 << (v & 63)) != 0,
+            View::Runs(runs, _) => {
+                let i = runs.partition_point(|&(s, _)| s <= v);
+                i > 0 && runs[i - 1].1 >= v
+            }
+        }
+    }
+
+    /// The least value `>= v`, if any.
+    fn first_from(self, v: u32) -> Option<u32> {
+        match self {
+            View::Array(vals) => vals
+                .get(vals.partition_point(|&x| u32::from(x) < v))
+                .map(|&x| u32::from(x)),
+            View::Bitmap(words, _) => first_set_from(words, v as usize).map(|x| x as u32),
+            View::Runs(runs, _) => runs
+                .get(runs.partition_point(|&(_, e)| u32::from(e) < v))
+                .map(|&(s, _)| u32::from(s).max(v)),
+        }
+    }
+
+    /// Appends the chunk's maximal runs to `out` as inclusive bounds
+    /// offset by `base`.
+    fn extend_runs(self, base: u32, out: &mut Vec<(u32, u32)>) {
+        let mut push = |v: u32| match out.last_mut() {
+            Some(last) if last.1 + 1 == v => last.1 = v,
+            _ => out.push((v, v)),
+        };
+        match self {
+            View::Array(vals) => vals.iter().for_each(|&v| push(base + u32::from(v))),
+            View::Bitmap(words, _) => {
+                for (k, &w) in words.iter().enumerate() {
+                    let mut w = w;
+                    while w != 0 {
+                        push(base + (k as u32) * 64 + w.trailing_zeros());
+                        w &= w - 1;
+                    }
+                }
+            }
+            View::Runs(runs, _) => out.extend(
+                runs.iter()
+                    .map(|&(s, e)| (base + u32::from(s), base + u32::from(e))),
+            ),
+        }
+    }
+
+    /// Ascending iterator over the chunk's values.
+    fn iter(self) -> ViewIter<'a> {
+        match self {
+            View::Array(vals) => ViewIter::Array(vals.iter()),
+            View::Bitmap(words, _) => ViewIter::Bitmap {
+                words: &words[..],
+                k: 0,
+                word: 0,
+            },
+            View::Runs(runs, _) => ViewIter::Runs {
+                runs: runs.iter(),
+                cur: None,
+            },
+        }
+    }
+}
+
+/// Ascending iterator over one chunk's values (`0..65536`).
+enum ViewIter<'a> {
     /// Sorted-array scan.
     Array(std::slice::Iter<'a, u16>),
     /// Word-by-word bitmap scan.
@@ -378,13 +412,13 @@ enum ContainerIter<'a> {
     },
 }
 
-impl Iterator for ContainerIter<'_> {
+impl Iterator for ViewIter<'_> {
     type Item = u32;
 
     fn next(&mut self) -> Option<u32> {
         match self {
-            ContainerIter::Array(it) => it.next().map(|&v| u32::from(v)),
-            ContainerIter::Bitmap { words, k, word } => loop {
+            ViewIter::Array(it) => it.next().map(|&v| u32::from(v)),
+            ViewIter::Bitmap { words, k, word } => loop {
                 if *word != 0 {
                     let tz = word.trailing_zeros();
                     *word &= *word - 1;
@@ -396,7 +430,7 @@ impl Iterator for ContainerIter<'_> {
                 *word = words[*k];
                 *k += 1;
             },
-            ContainerIter::Runs { runs, cur } => {
+            ViewIter::Runs { runs, cur } => {
                 if cur.is_none() {
                     *cur = runs.next().map(|&(s, e)| (u32::from(s), u32::from(e)));
                 }
@@ -408,46 +442,119 @@ impl Iterator for ContainerIter<'_> {
     }
 }
 
-/// One row of a [`CompressedRel`]: 2¹⁶-aligned chunks sorted by chunk
-/// key, each held by the smallest [`Container`] encoding. Empty chunks
-/// are never stored.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CompressedRow {
-    /// `(chunk key, container)` pairs, ascending by key.
-    chunks: Vec<(u32, Container)>,
+/// A row's storage: empty, one small chunk inside the slot, or heap
+/// chunks.
+#[derive(Debug, Clone, Default)]
+enum Repr {
+    /// No columns.
+    #[default]
+    Empty,
+    /// One chunk of `len <= INLINE_VALS` sorted values.
+    Values {
+        key: u32,
+        len: u8,
+        vals: [u16; INLINE_VALS],
+    },
+    /// One chunk of `len <= INLINE_RUNS` coalesced runs.
+    Runs {
+        key: u32,
+        len: u8,
+        runs: [(u16, u16); INLINE_RUNS],
+    },
+    /// Any other row: non-empty chunks ascending by key.
+    Chunks(Box<[(u32, Container)]>),
 }
 
+/// One row of a [`CompressedRel`]: 2¹⁶-aligned chunks sorted by chunk
+/// key, each in the smallest encoding, stored inside the row slot when
+/// the row is one small chunk (see the module docs). Empty chunks are
+/// never stored. Equality is set equality, whatever the encodings.
+#[derive(Debug, Clone, Default)]
+pub struct CompressedRow(Repr);
+
 impl CompressedRow {
-    /// Cardinality of the row — a sum of cached container counts, O(#chunks).
+    /// The `i`-th chunk in ascending key order, if any.
+    fn chunk(&self, i: usize) -> Option<(u32, View<'_>)> {
+        match &self.0 {
+            Repr::Chunks(cs) => cs.get(i).map(|(k, c)| (*k, c.view())),
+            _ => self.inline_chunk().filter(|_| i == 0),
+        }
+    }
+
+    /// The chunks with key `>= key`, ascending.
+    fn chunks_from(&self, key: u32) -> impl Iterator<Item = (u32, View<'_>)> {
+        let first = match &self.0 {
+            Repr::Chunks(cs) => cs.partition_point(|&(k, _)| k < key),
+            _ => usize::from(self.inline_chunk().is_some_and(|(k, _)| k < key)),
+        };
+        (first..).map_while(move |i| self.chunk(i))
+    }
+
+    /// The chunk stored inside the slot, if any.
+    fn inline_chunk(&self) -> Option<(u32, View<'_>)> {
+        match &self.0 {
+            Repr::Values { key, len, vals } => {
+                Some((*key, View::Array(&vals[..usize::from(*len)])))
+            }
+            Repr::Runs { key, len, runs } => {
+                let runs = &runs[..usize::from(*len)];
+                Some((*key, View::Runs(runs, run_card(runs))))
+            }
+            Repr::Empty | Repr::Chunks(_) => None,
+        }
+    }
+
+    /// Cardinality of the row — a sum of cached chunk counts, O(#chunks).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.chunks.iter().map(|(_, c)| c.len()).sum()
+        self.chunks_from(0).map(|(_, v)| v.len()).sum()
     }
 
     /// Whether the row is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+        matches!(self.0, Repr::Empty)
     }
 
-    /// Estimated bytes of the row under the byte-accounting formula:
-    /// per container, [`CONTAINER_OVERHEAD`] plus 2 bytes per array
-    /// entry / 8192 flat bytes per bitmap / 4 bytes per run.
+    /// Heap bytes the row holds beyond its slot: the chunk slice plus each
+    /// container's payload at allocated capacity.
+    fn heap_bytes(&self) -> usize {
+        match &self.0 {
+            Repr::Chunks(cs) => cs.iter().map(|(_, c)| CHUNK_SLOT + c.heap_bytes()).sum(),
+            _ => 0,
+        }
+    }
+
+    /// Bytes the row holds: its slot plus the heap chunk slice and
+    /// container payloads at allocated capacity.
     #[must_use]
     pub fn byte_size(&self) -> usize {
-        self.chunks
-            .iter()
-            .map(|(_, c)| CONTAINER_OVERHEAD + c.bytes())
-            .sum()
+        ROW_SLOT + self.heap_bytes()
     }
 
     /// Whether column `c` is present.
     #[must_use]
     pub fn contains(&self, c: u32) -> bool {
+        self.chunks_from(c >> 16)
+            .next()
+            .is_some_and(|(k, v)| k == c >> 16 && v.contains((c & 0xFFFF) as u16))
+    }
+
+    /// The least column `>= c`, if any.
+    #[must_use]
+    pub(crate) fn first_from(&self, c: u32) -> Option<u32> {
         let key = c >> 16;
-        match self.chunks.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => self.chunks[i].1.contains((c & 0xFFFF) as u16),
-            Err(_) => false,
+        let low = |k: u32| if k == key { c & 0xFFFF } else { 0 };
+        match &self.0 {
+            // The SCC pass seeks every row: answer the commonest row
+            // without building a chunk iterator.
+            Repr::Values { key: k, len, vals } if *k >= key => vals[..usize::from(*len)]
+                .iter()
+                .find(|&&x| u32::from(x) >= low(*k))
+                .map(|&x| (*k << 16) | u32::from(x)),
+            _ => self
+                .chunks_from(key)
+                .find_map(|(k, v)| v.first_from(low(k)).map(|x| (k << 16) | x)),
         }
     }
 
@@ -455,127 +562,212 @@ impl CompressedRow {
     pub fn insert(&mut self, c: u32) -> bool {
         let key = c >> 16;
         let v = (c & 0xFFFF) as u16;
-        match self.chunks.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => self.chunks[i].1.insert(v),
+        match &mut self.0 {
+            Repr::Empty => {
+                let mut vals = [0; INLINE_VALS];
+                vals[0] = v;
+                self.0 = Repr::Values { key, len: 1, vals };
+                return true;
+            }
+            Repr::Values { key: k, len, vals } if *k == key => {
+                let n = usize::from(*len);
+                match vals[..n].binary_search(&v) {
+                    Ok(_) => return false,
+                    Err(pos) if n < INLINE_VALS => {
+                        vals.copy_within(pos..n, pos + 1);
+                        vals[pos] = v;
+                        *len += 1;
+                        return true;
+                    }
+                    Err(_) => {}
+                }
+            }
+            Repr::Chunks(cs) => {
+                if let Ok(i) = cs.binary_search_by_key(&key, |&(k, _)| k) {
+                    return cs[i].1.insert(v);
+                }
+            }
+            Repr::Values { .. } | Repr::Runs { .. } => {}
+        }
+        // The row changes shape: spill to heap chunks, insert, and store
+        // the result inline again if it still fits.
+        let mut chunks = std::mem::take(self).into_chunks();
+        let fresh = match chunks.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => chunks[i].1.insert(v),
             Err(pos) => {
-                self.chunks.insert(pos, (key, Container::Array(vec![v])));
+                chunks.insert(pos, (key, Container::Array(vec![v])));
                 true
             }
+        };
+        *self = CompressedRow::from_chunks(chunks);
+        fresh
+    }
+
+    /// The row's chunks as heap containers.
+    fn into_chunks(self) -> Vec<(u32, Container)> {
+        match self.0 {
+            Repr::Empty => Vec::new(),
+            Repr::Values { key, len, vals } => {
+                vec![(key, Container::Array(vals[..usize::from(len)].to_vec()))]
+            }
+            Repr::Runs { key, len, runs } => {
+                let runs = &runs[..usize::from(len)];
+                vec![(
+                    key,
+                    Container::Runs {
+                        runs: runs.to_vec(),
+                        len: run_card(runs),
+                    },
+                )]
+            }
+            Repr::Chunks(cs) => cs.into_vec(),
+        }
+    }
+
+    /// A row of non-empty chunks ascending by key, inline when it is one
+    /// small chunk.
+    fn from_chunks(chunks: Vec<(u32, Container)>) -> CompressedRow {
+        if let [(key, c)] = chunks.as_slice() {
+            if let Some(row) = Self::inline(*key, c.view()) {
+                return row;
+            }
+        }
+        if chunks.is_empty() {
+            return CompressedRow::default();
+        }
+        CompressedRow(Repr::Chunks(chunks.into_boxed_slice()))
+    }
+
+    /// The in-slot form of a one-chunk row, if the chunk is small enough.
+    fn inline(key: u32, view: View<'_>) -> Option<CompressedRow> {
+        match view {
+            View::Array(vals) if vals.len() <= INLINE_VALS => {
+                let mut inline = [0; INLINE_VALS];
+                inline[..vals.len()].copy_from_slice(vals);
+                Some(CompressedRow(Repr::Values {
+                    key,
+                    len: vals.len() as u8,
+                    vals: inline,
+                }))
+            }
+            View::Runs(runs, _) if runs.len() <= INLINE_RUNS => {
+                let mut inline = [(0, 0); INLINE_RUNS];
+                inline[..runs.len()].copy_from_slice(runs);
+                Some(CompressedRow(Repr::Runs {
+                    key,
+                    len: runs.len() as u8,
+                    runs: inline,
+                }))
+            }
+            _ => None,
         }
     }
 
     /// Clears the row.
     pub fn clear(&mut self) {
-        self.chunks.clear();
+        self.0 = Repr::Empty;
     }
 
     /// Ascending iterator over the row's columns.
     #[must_use]
     pub fn iter(&self) -> RowValues<'_> {
         RowValues {
-            chunks: self.chunks.iter(),
+            row: self,
+            next: 0,
             cur: None,
         }
     }
 
-    /// Builds a normalized row from sorted, deduplicated columns: split
-    /// by chunk, coalesce each chunk's values into maximal runs, pick
-    /// the smallest encoding per chunk.
+    /// Appends the row's columns to `out` as ascending, disjoint
+    /// inclusive runs.
+    fn extend_runs(&self, out: &mut Vec<(u32, u32)>) {
+        for (key, v) in self.chunks_from(0) {
+            v.extend_runs(key << 16, out);
+        }
+    }
+
+    /// Builds a normalized row from ascending, disjoint inclusive runs
+    /// (adjacent runs are merged): split by chunk, pick the smallest
+    /// encoding per chunk, and keep a lone small chunk inline.
+    fn from_runs(runs: &[(u32, u32)]) -> CompressedRow {
+        let mut chunks: Vec<(u32, Container)> = Vec::new();
+        let mut local: Vec<(u32, u32)> = Vec::new();
+        let mut key = 0u32;
+        for &(s, e) in runs {
+            let mut s = s;
+            loop {
+                if s >> 16 != key {
+                    if let Some(c) = from_runs32(&local) {
+                        chunks.push((key, c));
+                    }
+                    local.clear();
+                    key = s >> 16;
+                }
+                let last = e.min(s | 0xFFFF);
+                match local.last_mut() {
+                    Some(l) if (s & 0xFFFF) == l.1 + 1 => l.1 = last & 0xFFFF,
+                    _ => local.push((s & 0xFFFF, last & 0xFFFF)),
+                }
+                if last == e {
+                    break;
+                }
+                s = last + 1;
+            }
+        }
+        if let Some(c) = from_runs32(&local) {
+            chunks.push((key, c));
+        }
+        CompressedRow::from_chunks(chunks)
+    }
+
+    /// Builds a normalized row from sorted, deduplicated columns: coalesce
+    /// into maximal runs, split by chunk, pick the smallest encoding per
+    /// chunk.
     #[must_use]
     pub fn from_sorted(vals: &[u32]) -> CompressedRow {
-        let mut chunks = Vec::new();
         let mut runs: Vec<(u32, u32)> = Vec::new();
-        let mut i = 0;
-        while i < vals.len() {
-            let key = vals[i] >> 16;
-            runs.clear();
-            let mut cur = (vals[i] & 0xFFFF, vals[i] & 0xFFFF);
-            i += 1;
-            while i < vals.len() && vals[i] >> 16 == key {
-                let v = vals[i] & 0xFFFF;
-                if v == cur.1 + 1 {
-                    cur.1 = v;
-                } else {
-                    runs.push(cur);
-                    cur = (v, v);
-                }
-                i += 1;
+        for &v in vals {
+            match runs.last_mut() {
+                Some(last) if last.1 + 1 == v => last.1 = v,
+                _ => runs.push((v, v)),
             }
-            runs.push(cur);
-            chunks.push((key, from_runs32(&runs).expect("non-empty chunk")));
         }
-        CompressedRow { chunks }
+        CompressedRow::from_runs(&runs)
     }
 
-    /// Normalized union of two rows via per-chunk run merges.
+    /// Normalized union of two rows via a run merge.
     #[must_use]
     pub fn union(&self, other: &CompressedRow) -> CompressedRow {
-        let mut chunks = Vec::with_capacity(self.chunks.len().max(other.chunks.len()));
-        let (mut i, mut j) = (0, 0);
-        let (mut ra, mut rb) = (Vec::new(), Vec::new());
-        while i < self.chunks.len() && j < other.chunks.len() {
-            let (ka, ca) = &self.chunks[i];
-            let (kb, cb) = &other.chunks[j];
-            match ka.cmp(kb) {
-                std::cmp::Ordering::Less => {
-                    chunks.push((*ka, ca.clone()));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    chunks.push((*kb, cb.clone()));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    ra.clear();
-                    rb.clear();
-                    ca.extend_runs(&mut ra);
-                    cb.extend_runs(&mut rb);
-                    let merged = union_runs(&ra, &rb);
-                    chunks.push((*ka, from_runs32(&merged).expect("union of non-empty")));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        chunks.extend(self.chunks[i..].iter().cloned());
-        chunks.extend(other.chunks[j..].iter().cloned());
-        CompressedRow { chunks }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        self.extend_runs(&mut a);
+        other.extend_runs(&mut b);
+        CompressedRow::from_runs(&union_runs(&a, &b))
     }
 
-    /// Normalized intersection of two rows via per-chunk run merges.
+    /// Normalized intersection of two rows via a run merge.
     #[must_use]
     pub fn intersect(&self, other: &CompressedRow) -> CompressedRow {
-        let mut chunks = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        let (mut ra, mut rb) = (Vec::new(), Vec::new());
-        while i < self.chunks.len() && j < other.chunks.len() {
-            let (ka, ca) = &self.chunks[i];
-            let (kb, cb) = &other.chunks[j];
-            match ka.cmp(kb) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    ra.clear();
-                    rb.clear();
-                    ca.extend_runs(&mut ra);
-                    cb.extend_runs(&mut rb);
-                    let met = intersect_runs(&ra, &rb);
-                    if let Some(c) = from_runs32(&met) {
-                        chunks.push((*ka, c));
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        CompressedRow { chunks }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        self.extend_runs(&mut a);
+        other.extend_runs(&mut b);
+        CompressedRow::from_runs(&intersect_runs(&a, &b))
     }
 }
 
+impl PartialEq for CompressedRow {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for CompressedRow {}
+
 /// Ascending iterator over one [`CompressedRow`]'s columns.
 pub struct RowValues<'a> {
-    chunks: std::slice::Iter<'a, (u32, Container)>,
-    cur: Option<(u32, ContainerIter<'a>)>,
+    row: &'a CompressedRow,
+    /// Index of the next chunk to open.
+    next: usize,
+    cur: Option<(u32, ViewIter<'a>)>,
 }
 
 impl Iterator for RowValues<'_> {
@@ -588,8 +780,9 @@ impl Iterator for RowValues<'_> {
                     return Some((*base << 16) | v);
                 }
             }
-            let (key, c) = self.chunks.next()?;
-            self.cur = Some((*key, c.iter()));
+            let (key, v) = self.row.chunk(self.next)?;
+            self.next += 1;
+            self.cur = Some((key, v.iter()));
         }
     }
 }
@@ -645,12 +838,14 @@ impl CompressedRel {
         self.entries
     }
 
-    /// Estimated bytes under the byte-accounting formula, summed over all
-    /// containers — the units the relation-memory budget axis accounts
-    /// for this backend. O(#containers), not O(#entries).
+    /// Bytes the relation holds: `n` row slots plus every heap row's
+    /// chunk slice and container payloads at allocated capacity — the
+    /// units the relation-memory budget axis accounts for this backend.
+    /// O(n + #heap chunks).
     #[must_use]
     pub fn byte_size(&self) -> usize {
-        self.rows.iter().map(CompressedRow::byte_size).sum()
+        let heap: usize = self.rows.iter().map(CompressedRow::heap_bytes).sum();
+        self.n * ROW_SLOT + heap
     }
 
     /// Whether bit `(r, c)` is set.
@@ -795,8 +990,7 @@ impl CompressedRel {
     /// As [`compose`](Self::compose), fanning output rows across
     /// [`effective_workers`]`(threads)` workers (bit-identical at every
     /// worker count) and polling `budget` every [`ROW_POLL_STRIDE`] rows
-    /// via [`Budget::check_rel`] with the estimated bytes materialized so
-    /// far.
+    /// via [`Budget::check_rel`] with the bytes the output holds so far.
     ///
     /// # Errors
     /// Returns the tripped axis; partial output is discarded.
@@ -815,7 +1009,7 @@ impl CompressedRel {
         if n == 0 {
             return Ok(out);
         }
-        let bytes = AtomicUsize::new(0);
+        let bytes = AtomicUsize::new(n * ROW_SLOT);
         let compose_rows =
             |first: usize, rows: &mut [CompressedRow]| -> Result<(), BudgetExceeded> {
                 let mut buf: Vec<u32> = Vec::new();
@@ -833,7 +1027,7 @@ impl CompressedRel {
                     buf.sort_unstable();
                     buf.dedup();
                     *orow = CompressedRow::from_sorted(&buf);
-                    bytes.fetch_add(orow.byte_size(), Ordering::Relaxed);
+                    bytes.fetch_add(orow.heap_bytes(), Ordering::Relaxed);
                 }
                 Ok(())
             };
@@ -843,8 +1037,8 @@ impl CompressedRel {
     }
 
     /// The reflexive-transitive closure: row `r` of the result holds every
-    /// node reachable from `r` (including `r` itself), computed by one
-    /// semi-naive delta fixpoint per source row, stored normalized.
+    /// node reachable from `r` (including `r` itself), stored normalized.
+    /// See [`closure_governed`](Self::closure_governed).
     #[must_use]
     pub fn closure_reflexive_transitive(&self, threads: usize) -> CompressedRel {
         match self.closure_governed(&Budget::unlimited(), threads) {
@@ -854,61 +1048,77 @@ impl CompressedRel {
     }
 
     /// As [`closure_reflexive_transitive`](Self::closure_reflexive_transitive),
-    /// polling `budget` every [`ROW_POLL_STRIDE`] source rows via
-    /// [`Budget::check_rel`] with the estimated bytes materialized so far.
+    /// by condensation: one Tarjan pass emits the strongly connected
+    /// components sinks first, so each component's row — its members plus
+    /// the rows of its successor components, run-merged and normalized —
+    /// is built once, from rows already built, and copied to every member.
+    /// The pass is serial, so the output is the same at every worker
+    /// count.
+    /// `budget` is polled via [`Budget::check_rel`] every
+    /// [`ROW_POLL_STRIDE`] traversal steps and output rows, with the bytes
+    /// the output holds so far.
     ///
     /// # Errors
     /// Returns the tripped axis; the partial closure is discarded.
     pub fn closure_governed(
         &self,
         budget: &Budget,
-        threads: usize,
+        _threads: usize,
     ) -> Result<CompressedRel, BudgetExceeded> {
-        let n = self.n;
-        let mut out = CompressedRel::new(n);
-        if n == 0 {
-            return Ok(out);
-        }
-        let bytes = AtomicUsize::new(0);
-        let close_rows = |first: usize, rows: &mut [CompressedRow]| -> Result<(), BudgetExceeded> {
-            // Per-worker scratch: a membership flag per node, reset after
-            // each source by walking only the nodes that were reached.
-            let mut in_closed = vec![false; n];
-            for (i, orow) in rows.iter_mut().enumerate() {
-                if i % ROW_POLL_STRIDE == 0 {
-                    if let Some(reason) = budget.check_rel(bytes.load(Ordering::Relaxed)) {
-                        return Err(reason);
-                    }
+        let mut out = CompressedRel::new(self.n);
+        let mut bytes = self.n * ROW_SLOT;
+        let mut poll = Poller::new(budget);
+        let cond = Condensation::new(self, &mut poll, bytes)?;
+        // `merged[d] == c` once component `d`'s row is folded into `c`'s.
+        let mut merged = vec![u32::MAX; cond.components()];
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        for c in 0..cond.components() {
+            let members = cond.members(c);
+            runs.clear();
+            for &m in members {
+                match runs.last_mut() {
+                    Some(last) if last.1 + 1 == m => last.1 = m,
+                    _ => runs.push((m, m)),
                 }
-                let src = first + i;
-                // Semi-naive delta iteration, exactly as in the sparse
-                // backend: only rows discovered by the previous round are
-                // re-expanded.
-                let mut reach: Vec<u32> = vec![src as u32];
-                in_closed[src] = true;
-                let mut delta = 0usize;
-                while delta < reach.len() {
-                    let x = reach[delta] as usize;
-                    delta += 1;
-                    for t in self.rows[x].iter() {
-                        if !in_closed[t as usize] {
-                            in_closed[t as usize] = true;
-                            reach.push(t);
-                        }
-                    }
-                }
-                for &t in &reach {
-                    in_closed[t as usize] = false;
-                }
-                reach.sort_unstable();
-                *orow = CompressedRow::from_sorted(&reach);
-                bytes.fetch_add(orow.byte_size(), Ordering::Relaxed);
             }
-            Ok(())
-        };
-        run_row_tasks(n, threads, &mut out.rows, &close_rows)?;
-        out.entries = out.rows.iter().map(CompressedRow::len).sum();
+            for &m in members {
+                for t in self.rows[m as usize].iter() {
+                    let d = cond.comp(t as usize);
+                    if d != c && merged[d] != c as u32 {
+                        merged[d] = c as u32;
+                        out.rows[cond.members(d)[0] as usize].extend_runs(&mut runs);
+                    }
+                }
+            }
+            runs.sort_unstable();
+            runs.dedup_by(|next, last| {
+                let overlaps = next.0 <= last.1 + 1;
+                if overlaps {
+                    last.1 = last.1.max(next.1);
+                }
+                overlaps
+            });
+            let row = CompressedRow::from_runs(&runs);
+            let heap = row.heap_bytes();
+            out.entries += row.len() * members.len();
+            for &m in members {
+                poll.tick(bytes)?;
+                bytes += heap;
+                out.rows[m as usize] = row.clone();
+            }
+        }
         Ok(out)
+    }
+}
+
+impl Successors for CompressedRel {
+    fn nodes(&self) -> usize {
+        self.n
+    }
+
+    fn succ_from(&self, v: usize, from: usize) -> Option<usize> {
+        let from = u32::try_from(from).ok()?;
+        self.rows[v].first_from(from).map(|c| c as usize)
     }
 }
 
@@ -958,6 +1168,11 @@ mod tests {
         m
     }
 
+    /// Bytes of a heap row holding one container of `payload` bytes.
+    fn one_chunk(payload: usize) -> usize {
+        ROW_SLOT + CHUNK_SLOT + payload
+    }
+
     #[test]
     fn set_get_iter_ascending_across_chunk_boundary() {
         let mut m = CompressedRel::new(200_000);
@@ -980,23 +1195,60 @@ mod tests {
     #[test]
     fn container_encodings_chosen_by_size() {
         // A single long run spanning a chunk boundary: one run container
-        // per chunk, 4 bytes of payload each.
+        // per chunk, on the heap because the row has two chunks.
         let row = CompressedRow::from_sorted(&(60_000..70_000).collect::<Vec<u32>>());
         assert_eq!(row.len(), 10_000);
-        assert_eq!(row.byte_size(), 2 * (CONTAINER_OVERHEAD + 4));
+        assert_eq!(row.byte_size(), ROW_SLOT + 2 * (CHUNK_SLOT + 4));
+        // A lone run lives inside the slot.
+        let inline = CompressedRow::from_sorted(&(100..5_000).collect::<Vec<u32>>());
+        assert_eq!(inline.byte_size(), ROW_SLOT);
+        assert_eq!(inline.iter().count(), 4_900);
         // Scattered values stay an array while small...
         let sparse_vals: Vec<u32> = (0..1000).map(|i| i * 7).collect();
         let arr = CompressedRow::from_sorted(&sparse_vals);
-        assert_eq!(arr.byte_size(), CONTAINER_OVERHEAD + 2 * 1000);
+        assert_eq!(arr.byte_size(), one_chunk(2 * 1000));
         // ...and become a bitmap once the array would exceed 8192 bytes.
         let dense_vals: Vec<u32> = (0..10_000).map(|i| i * 6).collect();
         let bm = CompressedRow::from_sorted(&dense_vals);
-        assert_eq!(bm.byte_size(), CONTAINER_OVERHEAD + BITMAP_BYTES);
+        assert_eq!(bm.byte_size(), one_chunk(BITMAP_BYTES));
         assert_eq!(bm.len(), 10_000);
         assert!(bm.contains(6 * 9_999) && !bm.contains(5));
         // All three encodings iterate ascending.
         assert_eq!(bm.iter().collect::<Vec<_>>(), dense_vals);
         assert_eq!(arr.iter().collect::<Vec<_>>(), sparse_vals);
+    }
+
+    #[test]
+    fn inline_rows_spill_and_stay_equal() {
+        // Eight values fit the slot; the ninth spills to a heap array.
+        let mut row = CompressedRow::default();
+        for v in (0..8).rev() {
+            assert!(row.insert(v * 3));
+        }
+        assert_eq!(row.byte_size(), ROW_SLOT);
+        assert!(!row.insert(9));
+        assert!(row.insert(100));
+        assert!(row.byte_size() > ROW_SLOT);
+        assert_eq!(row.len(), 9);
+        // A value in a second chunk spills too.
+        let mut two = CompressedRow::from_sorted(&[5]);
+        assert!(two.insert(70_000));
+        assert_eq!(two.iter().collect::<Vec<_>>(), vec![5, 70_000]);
+        // Inline runs take point inserts, spilling past four runs.
+        let mut runs = CompressedRow::from_sorted(&(0..100).collect::<Vec<u32>>());
+        assert_eq!(runs.byte_size(), ROW_SLOT);
+        for v in [200, 300, 400] {
+            assert!(runs.insert(v));
+        }
+        assert_eq!(runs.byte_size(), ROW_SLOT);
+        assert!(runs.insert(500));
+        assert!(runs.byte_size() > ROW_SLOT);
+        assert!(!runs.insert(50));
+        // Equality ignores the encoding.
+        let want: Vec<u32> = (0..100).chain([200, 300, 400, 500]).collect();
+        assert_eq!(runs, CompressedRow::from_sorted(&want));
+        assert_eq!(runs.first_from(101), Some(200));
+        assert_eq!(runs.first_from(501), None);
     }
 
     #[test]
@@ -1013,7 +1265,7 @@ mod tests {
             assert!(big.insert(v * 2));
         }
         assert_eq!(big.len(), ARRAY_MAX + 1);
-        assert_eq!(big.byte_size(), CONTAINER_OVERHEAD + BITMAP_BYTES);
+        assert_eq!(big.byte_size(), one_chunk(BITMAP_BYTES));
         assert!(big.contains(2 * ARRAY_MAX as u32) && !big.contains(1));
         // The u16 edge: coalescing against a run ending at 65535 must not
         // overflow.
@@ -1090,9 +1342,9 @@ mod tests {
 
     #[test]
     fn ring_closure_stays_within_byte_budget_sparse_exceeds() {
-        // 64-state rings: every closure row is one 64-entry run. The
-        // compressed closure costs 12 bytes per row; raw u32 adjacency
-        // would cost 256.
+        // 64-state rings: every closure row is one 64-entry run, held
+        // inside its row slot. Raw u32 adjacency would cost 256 bytes per
+        // row.
         let n = 8192;
         let mut m = CompressedRel::new(n);
         for i in 0..n {
@@ -1100,8 +1352,8 @@ mod tests {
         }
         let closed = m.closure_reflexive_transitive(1);
         assert_eq!(closed.entry_count(), n * 64);
-        assert_eq!(closed.byte_size(), n * (CONTAINER_OVERHEAD + 4));
-        // A budget between the two byte estimates admits the compressed
+        assert_eq!(closed.byte_size(), n * ROW_SLOT);
+        // A budget between the two byte counts admits the compressed
         // closure and would reject a raw-entry one.
         let cap = 4 * closed.entry_count() / 2;
         assert!(closed.byte_size() < cap);

@@ -310,11 +310,11 @@ impl Rel {
         }
     }
 
-    /// Estimated bytes of backend storage currently allocated: 8 per
-    /// dense `u64` word, 4 per sparse adjacency entry, and the
-    /// container-formula estimate for the compressed backend — the same
-    /// byte units [`Budget::check_rel`] accounts, comparable across
-    /// backends.
+    /// Bytes of backend storage currently allocated: 8 per dense `u64`
+    /// word, 4 per sparse adjacency entry, and row slots plus container
+    /// capacity for the compressed backend
+    /// ([`CompressedRel::byte_size`]) — the same byte units
+    /// [`Budget::check_rel`] accounts, comparable across backends.
     #[must_use]
     pub fn mem_bytes(&self) -> usize {
         match self {
@@ -785,23 +785,26 @@ mod tests {
 
     #[test]
     fn compressed_coercions_and_byte_accounting() {
+        use crate::container::{CHUNK_SLOT, ROW_SLOT};
         let _g = force_rel_backend(RelChoice::Compressed);
         let mut r = Rel::new(70_000);
         assert_eq!(r.backend(), RelBackend::Compressed);
         for c in 0..640usize {
             r.set(7, 65_200 + c);
         }
-        // One run straddling the chunk boundary → two containers. Point
-        // inserts keep array encodings (336 + 304 values)...
+        // One run straddling the chunk boundary → two heap containers on
+        // top of the 70k row slots. Point inserts keep array encodings
+        // (336 + 304 values), each grown by doubling to 512 slots...
+        let slots = 70_000 * ROW_SLOT;
         assert_eq!(r.count_ones(), 640);
-        assert_eq!(r.mem_bytes(), (8 + 2 * 336) + (8 + 2 * 304));
+        assert_eq!(r.mem_bytes(), slots + 2 * CHUNK_SLOT + 2 * (2 * 512));
         // ...while bulk-built rows normalize: composing with the identity
         // rebuilds the row as one 4-byte run per chunk.
         let norm = r
             .compose_governed(&Rel::identity(70_000), &Budget::unlimited(), 1)
             .unwrap();
         assert!(norm.set_eq(&r));
-        assert_eq!(norm.mem_bytes(), 2 * (8 + 4));
+        assert_eq!(norm.mem_bytes(), slots + 2 * (CHUNK_SLOT + 4));
         // Round-trip through the sparse backend preserves the pair set
         // (a dense coercion at this dim would allocate ~600 MB).
         let s = r.coerced(70_000, RelBackend::Sparse);

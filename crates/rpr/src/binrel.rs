@@ -269,10 +269,9 @@ impl BinRel {
 
     /// `[self*]`-modality sweep without materializing the closure:
     /// equivalent to `self.star_governed(inner.len(), ..)` followed by
-    /// [`box_states`](Self::box_states), but each source's traversal
-    /// stops at the first violating reachable state and sweep-wide
-    /// verdict memos keep the whole pass near-linear — the closure
-    /// relation itself is never built.
+    /// [`box_states`](Self::box_states), but answered by one linear pass
+    /// over the strongly connected components of the single-step
+    /// relation — the closure relation itself is never built.
     ///
     /// # Errors
     /// Returns the tripped axis; partial verdicts are discarded.
@@ -291,7 +290,7 @@ impl BinRel {
 
     /// `⟨self*⟩`-modality sweep without materializing the closure:
     /// equivalent to `self.star_governed(inner.len(), ..)` followed by
-    /// [`diamond_states`](Self::diamond_states); dual memoization to
+    /// [`diamond_states`](Self::diamond_states); the dual pass to
     /// [`box_star_states_governed`](Self::box_star_states_governed).
     ///
     /// # Errors

@@ -82,6 +82,13 @@ perfbench:
     cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- --workload all --seed 1 --seconds 25 --trace 0
     cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- --workload all --seed 1 --seconds 25 --trace 1
 
+# One workload of the repo benchmark at one seed, end to end and then
+# traced — checks a claim on one workload without the four-workload run,
+# e.g. `just perfbench-one rel-capstone 7919` for the held-out seed.
+perfbench-one WORKLOAD SEED:
+    cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- --workload {{WORKLOAD}} --seed {{SEED}} --seconds 25 --trace 0
+    cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- --workload {{WORKLOAD}} --seed {{SEED}} --seconds 25 --trace 1
+
 # Every benchmark artifact in one shot: harness + all parallel benches,
 # closing with the starved-host warning status recorded in the artifacts.
 bench-all: harness bench-reach bench-verify bench-pdl bench-rel bench-rel-large bench-sched fuzz
