@@ -1,7 +1,7 @@
 //! Scenario-factory differential fuzzing: derives hundreds of random
 //! tri-level domains from seeds and verifies each under every engine
-//! combination (backends × schedulers × worker counts × budget caps ×
-//! legacy rewriter), requiring zero divergence; writes
+//! combination (backends × worker counts × budget caps × legacy
+//! rewriter), requiring zero divergence; writes
 //! `BENCH_scenarios.json` with the domains/second rate.
 //!
 //! Modes:

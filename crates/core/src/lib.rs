@@ -46,7 +46,4 @@ mod verify;
 
 pub use error::{Result, SpecError};
 pub use spec::{CarrierSpec, TriLevelSpec};
-pub use verify::{
-    dag_shape, force_dag_shape, verify, verify_with_threads, DagShape, DagShapeGuard, StageStats,
-    VerificationOutcome, VerifyConfig,
-};
+pub use verify::{verify, verify_with_threads, StageStats, VerificationOutcome, VerifyConfig};

@@ -1,7 +1,7 @@
 //! Replays every differential-fuzzing corpus fixture (`tests/corpus/*.toml`
-//! at the workspace root) across the full backend × scheduler × worker-count
-//! × battery-shape grid: the schedule-independent fingerprint must be
-//! byte-identical for every combination.
+//! at the workspace root) across the full backend × worker-count grid: the
+//! schedule-independent fingerprint must be byte-identical for every
+//! combination.
 //!
 //! New fixtures are added automatically: drop a `fixture_toml`-format file
 //! in the corpus directory and this test picks it up.
@@ -9,11 +9,8 @@
 use std::fs;
 use std::path::PathBuf;
 
-use eclectic_kernel::{force_worker_cap, RelChoice, SchedMode};
-use eclectic_spec::fuzz::{
-    build_domain, engine_outcome, engine_outcome_shaped, outcome_difference, parse_fixture,
-};
-use eclectic_spec::DagShape;
+use eclectic_kernel::{force_worker_cap, RelChoice};
+use eclectic_spec::fuzz::{build_domain, engine_outcome, outcome_difference, parse_fixture};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
@@ -42,21 +39,15 @@ fn corpus_fixtures_replay_identically_across_all_engines() {
             .unwrap_or_else(|e| panic!("{}: generation failed: {e}", path.display()));
         let vc = cfg.verify_config();
 
-        let baseline = engine_outcome(&spec, &vc, RelChoice::Dense, SchedMode::Steal, 1);
+        let baseline = engine_outcome(&spec, &vc, RelChoice::Dense, 1);
         for backend in [RelChoice::Dense, RelChoice::Sparse, RelChoice::Compressed] {
-            for mode in [SchedMode::Steal, SchedMode::Scoped] {
-                for workers in [1usize, 2, 4, 8] {
-                    for shape in [DagShape::Fine, DagShape::Chain] {
-                        let outcome =
-                            engine_outcome_shaped(&spec, &vc, backend, mode, workers, shape);
-                        if let Some(detail) = outcome_difference(&baseline, &outcome) {
-                            panic!(
-                                "{}: {backend:?}/{mode:?}/{workers}/{shape:?} diverged from \
-                                 dense/steal/1: {detail}",
-                                path.display()
-                            );
-                        }
-                    }
+            for workers in [1usize, 2, 4, 8] {
+                let outcome = engine_outcome(&spec, &vc, backend, workers);
+                if let Some(detail) = outcome_difference(&baseline, &outcome) {
+                    panic!(
+                        "{}: {backend:?}/{workers} diverged from dense/1: {detail}",
+                        path.display()
+                    );
                 }
             }
         }

@@ -754,14 +754,14 @@ fn parallel_binrel_star_and_compose_match_serial() {
 // Scheduler-specific cases. The tests above run under `effective_workers`,
 // which clamps to the host's cores — on a small CI box "8 threads" can mean
 // one real worker. Here the cap override lifts that clamp so 2/4/8 workers
-// GENUINELY run on the shared pool, and the work-stealing executor is
-// compared against the scoped-thread baseline bit for bit. The override
-// guards serialize these tests against each other.
+// GENUINELY run on the shared pool, and the pool is compared against the
+// inline one-worker run bit for bit. The override guards serialize these
+// tests against each other.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn work_stealing_matches_scoped_baseline_at_real_worker_counts() {
-    use eclectic_kernel::{force_sched_mode, force_worker_cap, SchedMode};
+fn work_stealing_matches_one_worker_baseline_at_real_worker_counts() {
+    use eclectic_kernel::force_worker_cap;
     let _cap = force_worker_cap(usize::MAX);
     for (name, spec, depth) in domains() {
         let limits = AlgExploreLimits {
@@ -780,59 +780,43 @@ fn work_stealing_matches_scoped_baseline_at_real_worker_counts() {
             )
             .unwrap()
         };
-        let reference = {
-            let _m = force_sched_mode(SchedMode::Scoped);
-            explore(1)
-        };
-        let ref_dynamic = {
-            let _m = force_sched_mode(SchedMode::Scoped);
-            check_dynamic_threads(&spec.representation, &spec.empty_state(), 1_024, 1).unwrap()
-        };
-        let ref_complete = {
-            let _m = force_sched_mode(SchedMode::Scoped);
-            completeness::exhaustive_threads(&spec.functions, 3, 20, 1).unwrap()
-        };
-        // Work-stealing at every worker count, plus the scoped mode at 4
-        // workers, must all reproduce the 1-worker scoped reference.
-        let runs = [
-            (SchedMode::Steal, 1),
-            (SchedMode::Steal, 2),
-            (SchedMode::Steal, 4),
-            (SchedMode::Steal, 8),
-            (SchedMode::Scoped, 4),
-        ];
-        for (mode, threads) in runs {
-            let _m = force_sched_mode(mode);
+        let reference = explore(1);
+        let ref_dynamic =
+            check_dynamic_threads(&spec.representation, &spec.empty_state(), 1_024, 1).unwrap();
+        let ref_complete = completeness::exhaustive_threads(&spec.functions, 3, 20, 1).unwrap();
+        // The pool at every real worker count must reproduce the inline
+        // 1-worker reference.
+        for threads in [2, 4, 8] {
             let par = explore(threads);
             assert_eq!(
                 par.witnesses, reference.witnesses,
-                "{name}: witnesses, {mode:?} at {threads} workers"
+                "{name}: witnesses, {threads} workers"
             );
             assert_eq!(
                 par.universe.edge_count(),
                 reference.universe.edge_count(),
-                "{name}: edges, {mode:?} at {threads} workers"
+                "{name}: edges, {threads} workers"
             );
             assert_eq!(
                 par.truncated, reference.truncated,
-                "{name}: truncation, {mode:?} at {threads} workers"
+                "{name}: truncation, {threads} workers"
             );
             let dynamic =
                 check_dynamic_threads(&spec.representation, &spec.empty_state(), 1_024, threads)
                     .unwrap();
             assert_eq!(
                 dynamic.failures, ref_dynamic.failures,
-                "{name}: PDL verdicts, {mode:?} at {threads} workers"
+                "{name}: PDL verdicts, {threads} workers"
             );
             assert_eq!(
                 dynamic.checked, ref_dynamic.checked,
-                "{name}: PDL volume, {mode:?} at {threads} workers"
+                "{name}: PDL volume, {threads} workers"
             );
             let complete =
                 completeness::exhaustive_threads(&spec.functions, 3, 20, threads).unwrap();
             assert_eq!(
                 complete, ref_complete,
-                "{name}: completeness, {mode:?} at {threads} workers"
+                "{name}: completeness, {threads} workers"
             );
         }
     }
@@ -840,9 +824,8 @@ fn work_stealing_matches_scoped_baseline_at_real_worker_counts() {
 
 #[test]
 fn node_capped_partials_are_bit_identical_under_real_stealing() {
-    use eclectic_kernel::{force_sched_mode, force_worker_cap, SchedMode};
+    use eclectic_kernel::force_worker_cap;
     let _cap = force_worker_cap(usize::MAX);
-    let _m = force_sched_mode(SchedMode::Steal);
     for (name, spec, depth) in domains() {
         let limits = AlgExploreLimits {
             max_depth: depth,
@@ -911,9 +894,8 @@ fn node_capped_partials_are_bit_identical_under_real_stealing() {
 
 #[test]
 fn mid_sweep_cancel_leaves_shared_memos_unpoisoned() {
-    use eclectic_kernel::{force_sched_mode, force_worker_cap, CancelToken, SchedMode};
+    use eclectic_kernel::{force_worker_cap, CancelToken};
     let _cap = force_worker_cap(usize::MAX);
-    let _m = force_sched_mode(SchedMode::Steal);
     let spec = courses::courses(&courses::CoursesConfig::default()).unwrap();
     let mk_ind = || {
         InducedAlgebra::new(
@@ -972,98 +954,16 @@ fn mid_sweep_cancel_leaves_shared_memos_unpoisoned() {
     assert_eq!(redo, expected, "memos must be unpoisoned after cancellation");
 }
 
-// ---------------------------------------------------------------------------
-// Obligation-DAG battery shape. The fine shape decomposes the staged battery
-// into per-obligation pool tasks (per-procedure dynamic units, per-pair
-// overlaps, completeness strips, refine12 obligations with dependency edges
-// into witness enumeration); its reports must be bit-identical to the
-// chain-shaped battery and the serial reference at every genuine worker
-// count, under both scheduler modes, including budget-capped partials.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn obligation_dag_battery_matches_serial_reference_on_every_domain() {
-    use eclectic_kernel::{force_worker_cap, RelChoice, SchedMode};
-    use eclectic_spec::fuzz::{engine_outcome_shaped, outcome_difference};
-    use eclectic_spec::DagShape;
-    let _cap = force_worker_cap(usize::MAX);
-    let vc = VerifyConfig::quick();
-    for (name, spec, _) in domains() {
-        let reference = engine_outcome_shaped(
-            &spec,
-            &vc,
-            RelChoice::Dense,
-            SchedMode::Steal,
-            1,
-            DagShape::Chain,
-        );
-        for mode in [SchedMode::Steal, SchedMode::Scoped] {
-            for workers in BUDGET_THREADS {
-                let fine =
-                    engine_outcome_shaped(&spec, &vc, RelChoice::Dense, mode, workers, DagShape::Fine);
-                if let Some(detail) = outcome_difference(&reference, &fine) {
-                    panic!("{name}: fine DAG under {mode:?} at {workers} workers diverged: {detail}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn node_capped_exhaustion_partial_is_shape_and_worker_invariant() {
-    // A node cap tripping mid-grid inside refine12: the partial outcome —
-    // which stages ran, which stage recorded the Exhaustion, and the
-    // truncated exploration itself — must not depend on the battery shape
-    // or the number of genuine workers, because the cap is polled at
-    // serial slot indices and the merge replays slots in serial order.
-    use eclectic_kernel::{force_sched_mode, force_worker_cap, SchedMode};
-    use eclectic_spec::{force_dag_shape, verify_with_threads, DagShape};
-    let _cap = force_worker_cap(usize::MAX);
-    let _m = force_sched_mode(SchedMode::Steal);
-    let mut config = VerifyConfig::quick();
-    config.max_nodes = Some(200);
-    for (name, spec, _) in domains() {
-        let fingerprint = |shape: DagShape, workers: usize| {
-            let _s = force_dag_shape(shape);
-            let o = verify_with_threads(&spec, &config, workers).unwrap();
-            (
-                o.is_correct(),
-                format!("{:?}", o.report.refine12.exploration.exhausted),
-                o.stages
-                    .iter()
-                    .map(|s| (s.name, s.exhausted.clone()))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let base = fingerprint(DagShape::Chain, 1);
-        assert!(
-            base.2.iter().any(|(_, e)| e.is_some()),
-            "{name}: cap 200 must trip a stage"
-        );
-        for shape in [DagShape::Chain, DagShape::Fine] {
-            for workers in BUDGET_THREADS {
-                assert_eq!(
-                    fingerprint(shape, workers),
-                    base,
-                    "{name}: capped partial, {shape:?} at {workers} workers"
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn mid_sweep_cancel_trips_dynamic_units_without_poisoning_shared_state() {
-    // The per-procedure dynamic units of the obligation DAG under a
-    // CancelToken: a pre-tripped token stops every unit at its first slot
+    // The per-procedure dynamic units under a CancelToken: a pre-tripped token stops every unit at its first slot
     // and the merge reports the cancellation at slot 0; a token flipped
     // while units are in flight may cut the sweep anywhere, but must leave
     // the schema and template reusable — a fresh uncancelled run must
     // reproduce the pristine report bit for bit.
-    use eclectic_kernel::{force_sched_mode, force_worker_cap, CancelToken, SchedMode};
+    use eclectic_kernel::{force_worker_cap, CancelToken};
     use eclectic_refine::{plan_dynamic, DynamicPrep};
     let _cap = force_worker_cap(usize::MAX);
-    let _m = force_sched_mode(SchedMode::Steal);
     let spec = courses::courses(&courses::CoursesConfig::default()).unwrap();
     let pristine =
         check_dynamic_budget(&spec.representation, &spec.empty_state(), 1_024, &Budget::unlimited(), 4)

@@ -12,8 +12,6 @@
 //! | `ECLECTIC_REL_BACKEND`             | `dense`/`sparse`/`compressed`/`auto` | auto crossover |
 //! | `ECLECTIC_PAR_MIN_DIM`             | non-negative integer                 | 256            |
 //! | `ECLECTIC_REL_COMPRESSED_MIN_DIM`  | non-negative integer                 | 65536          |
-//! | `ECLECTIC_SCHED`                   | `steal`/`scoped`                     | steal          |
-//! | `ECLECTIC_SCHED_PRIORITY`          | `on`/`off`                           | on             |
 //! | `ECLECTIC_MAX_REL_BYTES`           | byte count (estimated)               | unlimited      |
 //!
 //! `ECLECTIC_MAX_REL_BYTES` also accepts its historical spelling
@@ -388,155 +386,6 @@ pub(crate) fn env_max_rel_bytes() -> Option<usize> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// ECLECTIC_SCHED
-// ---------------------------------------------------------------------------
-
-/// How one `ECLECTIC_SCHED` value parses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SchedSpec {
-    /// Variable unset: the work-stealing executor.
-    Unset,
-    /// `steal`: the persistent work-stealing executor, explicitly.
-    Steal,
-    /// `scoped`: per-call scoped threads — the pre-scheduler behaviour,
-    /// kept as an A/B escape hatch for debugging.
-    Scoped,
-    /// Unparseable: fall back to `steal`, but warn.
-    Invalid,
-}
-
-pub(crate) fn parse_sched(value: Option<&str>) -> SchedSpec {
-    let Some(raw) = value else {
-        return SchedSpec::Unset;
-    };
-    let s = raw.trim();
-    if s.eq_ignore_ascii_case("steal") {
-        SchedSpec::Steal
-    } else if s.eq_ignore_ascii_case("scoped") {
-        SchedSpec::Scoped
-    } else {
-        SchedSpec::Invalid
-    }
-}
-
-/// The environment-selected scheduler, read once per process. Unset means
-/// the work-stealing executor; `scoped` restores per-call scoped threads.
-pub(crate) fn env_sched() -> SchedSpec {
-    static SPEC: OnceLock<SchedSpec> = OnceLock::new();
-    *SPEC.get_or_init(|| {
-        let value = std::env::var("ECLECTIC_SCHED").ok();
-        let spec = parse_sched(value.as_deref());
-        if spec == SchedSpec::Invalid {
-            eprintln!(
-                "eclectic: unparseable ECLECTIC_SCHED={:?}; expected `steal` or `scoped` — \
-                 falling back to the work-stealing executor",
-                value.as_deref().unwrap_or_default()
-            );
-        }
-        spec
-    })
-}
-
-// ---------------------------------------------------------------------------
-// ECLECTIC_SCHED_PRIORITY
-// ---------------------------------------------------------------------------
-
-/// How one `ECLECTIC_SCHED_PRIORITY` value parses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SchedPrioritySpec {
-    /// Variable unset: priority-aware injector scanning (the default).
-    Unset,
-    /// `on`/`1`/`true`: priority-aware injector scanning, explicitly.
-    On,
-    /// `off`/`0`/`false`: the flat submission-order injector — the
-    /// pre-priority baseline, kept as an A/B escape hatch.
-    Off,
-    /// Unparseable: fall back to priority-aware, but warn.
-    Invalid,
-}
-
-pub(crate) fn parse_sched_priority(value: Option<&str>) -> SchedPrioritySpec {
-    let Some(raw) = value else {
-        return SchedPrioritySpec::Unset;
-    };
-    let s = raw.trim();
-    if s.eq_ignore_ascii_case("on") || s == "1" || s.eq_ignore_ascii_case("true") {
-        SchedPrioritySpec::On
-    } else if s.eq_ignore_ascii_case("off") || s == "0" || s.eq_ignore_ascii_case("false") {
-        SchedPrioritySpec::Off
-    } else {
-        SchedPrioritySpec::Invalid
-    }
-}
-
-/// The environment-selected injector discipline, read once per process.
-/// Unset means priority-aware scanning; `off` restores the flat
-/// submission-order scan.
-pub(crate) fn env_sched_priority() -> SchedPrioritySpec {
-    static SPEC: OnceLock<SchedPrioritySpec> = OnceLock::new();
-    *SPEC.get_or_init(|| {
-        let value = std::env::var("ECLECTIC_SCHED_PRIORITY").ok();
-        let spec = parse_sched_priority(value.as_deref());
-        if spec == SchedPrioritySpec::Invalid {
-            eprintln!(
-                "eclectic: unparseable ECLECTIC_SCHED_PRIORITY={:?}; expected `on` or `off` — \
-                 falling back to the priority-aware injector",
-                value.as_deref().unwrap_or_default()
-            );
-        }
-        spec
-    })
-}
-
-/// Process-global priority-mode override installed by
-/// [`force_sched_priority`]: 0 = none, 1 = on, 2 = off.
-static PRIORITY_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Serializes holders of [`force_sched_priority`] guards.
-static PRIORITY_LOCK: Mutex<()> = Mutex::new(());
-
-/// RAII guard for a forced injector discipline; restores the
-/// environment-driven choice on drop. Holding it excludes every other
-/// forced-priority section in the process.
-pub struct SchedPriorityGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for SchedPriorityGuard {
-    fn drop(&mut self) {
-        PRIORITY_OVERRIDE.store(0, Ordering::SeqCst);
-    }
-}
-
-/// Forces the injector discipline (priority-aware vs flat) for the
-/// lifetime of the returned guard, regardless of
-/// `ECLECTIC_SCHED_PRIORITY`. The A/B test guard for the priority classes,
-/// mirroring `force_sched_mode`. Either discipline produces bit-identical
-/// results — only which region a freed pool thread serves next changes.
-#[must_use]
-pub fn force_sched_priority(on: bool) -> SchedPriorityGuard {
-    let lock = PRIORITY_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    PRIORITY_OVERRIDE.store(if on { 1 } else { 2 }, Ordering::SeqCst);
-    SchedPriorityGuard { _lock: lock }
-}
-
-/// Whether pool threads scan regions priority-first: a
-/// [`force_sched_priority`] override wins, then `ECLECTIC_SCHED_PRIORITY`,
-/// then the priority-aware default.
-#[must_use]
-pub fn sched_priority_on() -> bool {
-    match PRIORITY_OVERRIDE.load(Ordering::SeqCst) {
-        1 => return true,
-        2 => return false,
-        _ => {}
-    }
-    match env_sched_priority() {
-        SchedPrioritySpec::Off => false,
-        SchedPrioritySpec::Unset | SchedPrioritySpec::On | SchedPrioritySpec::Invalid => true,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,48 +494,6 @@ mod tests {
         assert_eq!(parse_max_rel_bytes(Some(""), Some("64")), RelBytesSpec::Invalid);
         assert_eq!(parse_max_rel_bytes(None, Some("-5")), RelBytesSpec::Invalid);
         assert_eq!(parse_max_rel_bytes(Some("3.5"), None), RelBytesSpec::Invalid);
-    }
-
-    #[test]
-    fn sched_parse_table() {
-        assert_eq!(parse_sched(None), SchedSpec::Unset);
-        assert_eq!(parse_sched(Some("steal")), SchedSpec::Steal);
-        assert_eq!(parse_sched(Some(" STEAL ")), SchedSpec::Steal);
-        assert_eq!(parse_sched(Some("scoped")), SchedSpec::Scoped);
-        assert_eq!(parse_sched(Some("rayon")), SchedSpec::Invalid);
-        assert_eq!(parse_sched(Some("")), SchedSpec::Invalid);
-    }
-
-    #[test]
-    fn sched_priority_parse_table() {
-        assert_eq!(parse_sched_priority(None), SchedPrioritySpec::Unset);
-        assert_eq!(parse_sched_priority(Some("on")), SchedPrioritySpec::On);
-        assert_eq!(parse_sched_priority(Some(" ON ")), SchedPrioritySpec::On);
-        assert_eq!(parse_sched_priority(Some("1")), SchedPrioritySpec::On);
-        assert_eq!(parse_sched_priority(Some("true")), SchedPrioritySpec::On);
-        assert_eq!(parse_sched_priority(Some("off")), SchedPrioritySpec::Off);
-        assert_eq!(parse_sched_priority(Some(" Off ")), SchedPrioritySpec::Off);
-        assert_eq!(parse_sched_priority(Some("0")), SchedPrioritySpec::Off);
-        assert_eq!(parse_sched_priority(Some("false")), SchedPrioritySpec::Off);
-        assert_eq!(parse_sched_priority(Some("flat")), SchedPrioritySpec::Invalid);
-        assert_eq!(parse_sched_priority(Some("2")), SchedPrioritySpec::Invalid);
-        assert_eq!(parse_sched_priority(Some("")), SchedPrioritySpec::Invalid);
-    }
-
-    #[test]
-    fn sched_priority_guard_overrides_and_restores() {
-        {
-            let _g = force_sched_priority(false);
-            assert!(!sched_priority_on());
-        }
-        {
-            let _g = force_sched_priority(true);
-            assert!(sched_priority_on());
-        }
-        // With no guard held the environment-driven default (on, unless the
-        // test process exports ECLECTIC_SCHED_PRIORITY=off) applies again.
-        let _serialize = force_sched_priority(true);
-        assert!(sched_priority_on());
     }
 
     #[test]

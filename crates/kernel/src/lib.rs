@@ -39,18 +39,15 @@ pub use bitmat::{BitMatrix, ROW_POLL_STRIDE};
 pub use budget::{Budget, BudgetExceeded, CancelToken, Exhaustion};
 pub use closure::LazyClosure;
 pub use container::{CompressedRel, CompressedRow};
-pub use envcfg::{
-    effective_workers, env_threads, force_sched_priority, force_worker_cap, sched_priority_on,
-    SchedPriorityGuard, WorkerCapGuard,
-};
+pub use envcfg::{effective_workers, env_threads, force_worker_cap, WorkerCapGuard};
 pub use rel::{
     force_rel_backend, force_rel_fault, rel_backend_for, Rel, RelBackend, RelBackendGuard,
     RelChoice, RelFaultGuard, RowIter, REL_DENSE_MAX_DIM,
 };
 pub use rng::Rng;
 pub use sched::{
-    force_sched_mode, run_chunked, run_tasks, run_tasks_prio, run_workers, run_workers_prio,
-    sched_mode, DagBuilder, IndexQueue, Priority, SchedMode, SchedModeGuard, TaskHandle,
+    run_chunked, run_tasks, run_tasks_prio, run_workers, run_workers_prio, DagBuilder,
+    IndexQueue, Priority, TaskHandle,
 };
 pub use sparse::SparseRel;
 pub use concurrent::{ConcurrentTermStore, SharedMemo, StoreHandle};

@@ -27,23 +27,14 @@
 //! provided — and deterministic stop axes (node caps checked at serial
 //! slot indices) trip at the same minimal index at every worker count.
 //!
-//! # Modes
-//!
-//! `ECLECTIC_SCHED=scoped` (or a [`force_sched_mode`] guard) restores the
-//! per-call scoped-thread behaviour for A/B debugging; `steal` (the
-//! default) uses the persistent pool. Both modes produce bit-identical
-//! results — only scheduling changes.
-//!
 //! # Priority classes
 //!
-//! Every region carries one of three [`Priority`] classes. When priority
-//! scanning is on (`ECLECTIC_SCHED_PRIORITY`, default on), a pool thread
+//! Every region carries one of three [`Priority`] classes. A pool thread
 //! looking for work serves the highest-priority non-drained region first,
 //! breaking ties by submission order, and re-scans after every task so a
 //! newly published latency-critical region preempts further claims from a
-//! bulk sweep at task granularity. With priority off the scan is the flat
-//! oldest-first baseline. Priorities never affect results — only which
-//! region a freed thread serves next.
+//! bulk sweep at task granularity. Priorities never affect results — only
+//! which region a freed thread serves next.
 //!
 //! # Obligation DAGs
 //!
@@ -52,81 +43,24 @@
 //! count, and the task that decrements a count to zero submits the
 //! unblocked node to the injector as its own single-task region (at the
 //! node's priority) — no chain-level barrier, no coordinator thread.
-//! Outputs are slotted by node index, so DAG results are as deterministic
-//! as [`run_tasks`]'s.
+//! At one worker the same graph runs inline in (priority, spawn-index)
+//! topological order. Outputs are slotted by node index, so DAG results
+//! are as deterministic as [`run_tasks`]'s.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-
-use crate::envcfg::{self, SchedSpec};
-
-/// Which executor [`run_tasks`] uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SchedMode {
-    /// The persistent work-stealing pool (default).
-    Steal,
-    /// Per-call `std::thread::scope` — the pre-scheduler behaviour, kept
-    /// as an escape hatch and as the A/B baseline for `bench_sched`.
-    Scoped,
-}
-
-/// Process-global mode override: 0 = none, 1 = steal, 2 = scoped.
-static MODE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Serializes holders of [`force_sched_mode`] guards.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-/// RAII guard for a forced scheduler mode; restores the environment-driven
-/// mode on drop. Holding it excludes every other forced-mode section in
-/// the process.
-pub struct SchedModeGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for SchedModeGuard {
-    fn drop(&mut self) {
-        MODE_OVERRIDE.store(0, Ordering::SeqCst);
-    }
-}
-
-/// Forces the scheduler mode for the lifetime of the returned guard.
-/// Intended for tests and benches that A/B the two executors in one
-/// process regardless of `ECLECTIC_SCHED`.
-#[must_use]
-pub fn force_sched_mode(mode: SchedMode) -> SchedModeGuard {
-    let lock = MODE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let code = match mode {
-        SchedMode::Steal => 1,
-        SchedMode::Scoped => 2,
-    };
-    MODE_OVERRIDE.store(code, Ordering::SeqCst);
-    SchedModeGuard { _lock: lock }
-}
-
-/// The scheduler mode in effect: a [`force_sched_mode`] override wins,
-/// then `ECLECTIC_SCHED`, then the work-stealing default.
-#[must_use]
-pub fn sched_mode() -> SchedMode {
-    match MODE_OVERRIDE.load(Ordering::SeqCst) {
-        1 => return SchedMode::Steal,
-        2 => return SchedMode::Scoped,
-        _ => {}
-    }
-    match envcfg::env_sched() {
-        SchedSpec::Scoped => SchedMode::Scoped,
-        SchedSpec::Unset | SchedSpec::Steal | SchedSpec::Invalid => SchedMode::Steal,
-    }
-}
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Priority classes
 // ---------------------------------------------------------------------------
 
-/// The fixed set of injector priority classes, most urgent first.
+/// The fixed set of injector priority classes, most urgent first: the
+/// derived order (`High < Normal < Bulk`) is the order in which pool
+/// threads serve regions.
 ///
 /// Latency-critical regions — obligation-DAG nodes whose completion
 /// unblocks downstream work (refine12 exploration → witness enumeration,
@@ -144,34 +78,6 @@ pub enum Priority {
     Normal,
     /// Wide background grids; served only when nothing more urgent waits.
     Bulk,
-}
-
-impl Priority {
-    /// Scan rank: lower drains first.
-    fn rank(self) -> u8 {
-        match self {
-            Priority::High => 0,
-            Priority::Normal => 1,
-            Priority::Bulk => 2,
-        }
-    }
-}
-
-/// Which region slot a work-seeking thread serves, as a pure function of
-/// the scan snapshot: `(priority, drained)` per region in submission
-/// order. Priority-on picks the highest-priority non-drained region
-/// (ties to the oldest); priority-off is the flat oldest-first baseline.
-fn pick_region_slot(regions: &[(Priority, bool)], priority_on: bool) -> Option<usize> {
-    if priority_on {
-        regions
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, drained))| !drained)
-            .min_by_key(|(i, (p, _))| (p.rank(), *i))
-            .map(|(i, _)| i)
-    } else {
-        regions.iter().position(|(_, drained)| !drained)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -250,7 +156,7 @@ const MAX_POOL_THREADS: usize = 256;
 /// A lifetime-erased task. The closure really borrows the submitting
 /// call's stack frame (`'env`); the region protocol guarantees it is
 /// consumed before that frame returns (see the safety argument in
-/// [`run_tasks_steal`]).
+/// [`run_tasks_prio`]).
 type ErasedTask = Box<dyn FnOnce() + Send + 'static>;
 
 /// One submitted batch of tasks: the unit pool threads scan for work.
@@ -330,13 +236,24 @@ impl Region {
 }
 
 struct PoolState {
-    /// Active regions in submission order. Pool threads serve the oldest
-    /// region with unclaimed work first, then move on — this is the
+    /// Active regions in submission order. Pool threads serve the most
+    /// urgent, then oldest, region with unclaimed work — this is the
     /// cross-stage sharing: a thread that drains one sweep's tasks
     /// immediately steals from whatever sweep is still running.
     regions: VecDeque<Arc<Region>>,
     /// Threads ever spawned (persistent; they park when idle).
     threads: usize,
+}
+
+/// The region a work-seeking thread serves: the first region of the
+/// most urgent class that still has unclaimed work. `min_by_key` keeps the
+/// first of equal keys, so ties go to the oldest submission.
+fn pick_region(regions: &VecDeque<Arc<Region>>) -> Option<Arc<Region>> {
+    regions
+        .iter()
+        .filter(|r| !r.drained())
+        .min_by_key(|r| r.priority)
+        .map(Arc::clone)
 }
 
 struct Pool {
@@ -378,18 +295,6 @@ impl Pool {
         st.regions.retain(|r| !Arc::ptr_eq(r, region));
     }
 
-    /// Picks the region a work-seeking thread should serve next, honouring
-    /// priority then submission order (or submission order alone with
-    /// priority scanning off).
-    fn scan(st: &PoolState, priority_on: bool) -> Option<Arc<Region>> {
-        let snapshot: Vec<(Priority, bool)> = st
-            .regions
-            .iter()
-            .map(|r| (r.priority, r.drained()))
-            .collect();
-        pick_region_slot(&snapshot, priority_on).map(|i| Arc::clone(&st.regions[i]))
-    }
-
     /// Claims and runs one task from the best available region. Returns
     /// `false` when no region has unclaimed work — the caller should park.
     /// Used by threads that must make progress on behalf of someone else's
@@ -398,7 +303,7 @@ impl Pool {
         loop {
             let found = {
                 let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                Self::scan(&st, envcfg::sched_priority_on())
+                pick_region(&st.regions)
             };
             let Some(region) = found else {
                 return false;
@@ -416,23 +321,14 @@ impl Pool {
     fn worker_loop(&'static self) {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            let priority_on = envcfg::sched_priority_on();
-            let found = Self::scan(&st, priority_on);
-            match found {
+            match pick_region(&st.regions) {
                 Some(region) => {
                     drop(st);
-                    if priority_on {
-                        // Claim one task, then rescan: a latency-critical
-                        // region published mid-sweep preempts further
-                        // claims from a bulk region at task granularity.
-                        if let Some(i) = region.claim() {
-                            region.run(i);
-                        }
-                    } else {
-                        // Flat baseline: drain the chosen region.
-                        while let Some(i) = region.claim() {
-                            region.run(i);
-                        }
+                    // Claim one task, then rescan: a latency-critical
+                    // region published mid-sweep preempts further claims
+                    // from a bulk region at task granularity.
+                    if let Some(i) = region.claim() {
+                        region.run(i);
                     }
                     drop(region);
                     st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
@@ -458,11 +354,10 @@ impl Pool {
 /// `thread::scope` sweep builds its per-worker closures (typically
 /// `min(workers, items)` of them, pulling item chunks from a shared
 /// [`IndexQueue`]) and hands them here. `workers` is the parallelism the
-/// caller wants — under [`SchedMode::Steal`] it sizes the persistent
-/// pool's help (`workers - 1` pool threads; the calling thread always
-/// executes tasks too), under [`SchedMode::Scoped`] it is the scoped
-/// spawn count. Outputs are slotted by task index, so results are
-/// independent of which thread ran what.
+/// caller wants: it sizes the persistent pool's help (`workers - 1` pool
+/// threads; the calling thread always executes tasks too). Outputs are
+/// slotted by task index, so results are independent of which thread ran
+/// what.
 ///
 /// With `workers <= 1` or fewer than two tasks the tasks run inline on
 /// the calling thread, in order — the serial path costs no allocation,
@@ -491,38 +386,6 @@ pub fn run_tasks_prio<'env, T: Send + 'env>(
     if workers <= 1 || tasks.len() <= 1 {
         return tasks.into_iter().map(|t| t()).collect();
     }
-    match sched_mode() {
-        SchedMode::Scoped => run_tasks_scoped(tasks),
-        SchedMode::Steal => run_tasks_steal(workers, priority, tasks),
-    }
-}
-
-/// The pre-scheduler baseline: one fresh scoped thread per task beyond the
-/// first, the first task on the calling thread.
-fn run_tasks_scoped<'env, T: Send + 'env>(
-    tasks: Vec<Box<dyn FnOnce() -> T + Send + 'env>>,
-) -> Vec<T> {
-    let mut tasks = tasks.into_iter();
-    let first = tasks.next().expect("checked non-empty");
-    std::thread::scope(|s| {
-        let handles: Vec<_> = tasks.map(|t| s.spawn(t)).collect();
-        let mut out = vec![first()];
-        for h in handles {
-            match h.join() {
-                Ok(v) => out.push(v),
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        out
-    })
-}
-
-/// The persistent-pool path.
-fn run_tasks_steal<'env, T: Send + 'env>(
-    workers: usize,
-    priority: Priority,
-    tasks: Vec<Box<dyn FnOnce() -> T + Send + 'env>>,
-) -> Vec<T> {
     let n = tasks.len();
     let outputs: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
     let region = {
@@ -747,10 +610,7 @@ impl<'env, T: Send + 'env> DagBuilder<'env, T> {
         if workers <= 1 || n == 1 {
             return run_dag_serial(self.nodes);
         }
-        match sched_mode() {
-            SchedMode::Scoped => run_dag_driver(self.nodes, workers),
-            SchedMode::Steal => run_dag_steal(self.nodes, workers),
-        }
+        run_dag_steal(self.nodes, workers)
     }
 }
 
@@ -768,13 +628,13 @@ fn dag_edges<T>(nodes: &[DagNode<'_, T>]) -> (Vec<Vec<usize>>, Vec<usize>) {
 }
 
 /// Position of the next node to run from `ready`: highest priority, then
-/// lowest spawn index — the same rule the parallel paths use to order
-/// their ready queues, so the serial path is the canonical linearisation.
+/// lowest spawn index — the rule the pool's region scan applies to ready
+/// nodes, so the serial path is the canonical linearisation.
 fn dag_pick(ready: &[usize], priorities: &[Priority]) -> Option<usize> {
     ready
         .iter()
         .enumerate()
-        .min_by_key(|(_, &i)| (priorities[i].rank(), i))
+        .min_by_key(|(_, &i)| (priorities[i], i))
         .map(|(pos, _)| pos)
 }
 
@@ -804,7 +664,7 @@ fn run_dag_serial<'env, T: Send + 'env>(nodes: Vec<DagNode<'env, T>>) -> Vec<T> 
         .collect()
 }
 
-/// Shared coordination state for the parallel DAG paths.
+/// Shared coordination state for the pool-native DAG path.
 struct DagState {
     ready: Vec<usize>,
     pending: Vec<usize>,
@@ -813,8 +673,6 @@ struct DagState {
     started: Vec<bool>,
     /// Nodes not yet settled (run, panicked, or cancelled).
     remaining: usize,
-    /// Nodes currently executing on some thread.
-    running: usize,
     /// First panic payload by node index.
     panic: Option<(usize, Box<dyn Any + Send>)>,
     cancelled: bool,
@@ -829,7 +687,6 @@ impl DagState {
             pending,
             started: vec![false; n],
             remaining: n,
-            running: 0,
             panic: None,
             cancelled: false,
         }
@@ -871,86 +728,6 @@ impl DagState {
 
 /// One-shot DAG node bodies, each taken under its mutex exactly once.
 type DagBodies<'env, T> = Vec<Mutex<Option<Box<dyn FnOnce() -> T + Send + 'env>>>>;
-
-/// Scoped-mode DAG execution: `min(workers, n)` driver tasks share a
-/// ready queue ordered by (priority, spawn index). There is no persistent
-/// pool in scoped mode, so unblocked nodes go to the shared queue and an
-/// idle driver picks them up. Used only as the A/B baseline; results are
-/// bit-identical to the pool-native path.
-fn run_dag_driver<'env, T: Send + 'env>(nodes: Vec<DagNode<'env, T>>, workers: usize) -> Vec<T> {
-    let (dependents, pending) = dag_edges(&nodes);
-    let priorities: Vec<Priority> = nodes.iter().map(|n| n.priority).collect();
-    let n = nodes.len();
-    let outputs: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    let bodies: DagBodies<'env, T> = nodes
-        .into_iter()
-        .map(|node| Mutex::new(Some(node.body)))
-        .collect();
-    let state = Mutex::new(DagState::new(pending));
-    let cv = Condvar::new();
-
-    let drivers = workers.min(n);
-    let driver = |_w: usize| {
-        let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if st.remaining == 0 {
-                cv.notify_all();
-                return;
-            }
-            if let Some(pos) = dag_pick(&st.ready, &priorities) {
-                let i = st.ready.swap_remove(pos);
-                st.started[i] = true;
-                st.running += 1;
-                drop(st);
-                let body = bodies[i]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take()
-                    .expect("node runs once");
-                let result = catch_unwind(AssertUnwindSafe(body));
-                st = state.lock().unwrap_or_else(PoisonError::into_inner);
-                st.running -= 1;
-                match result {
-                    Ok(v) => {
-                        outputs.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(v);
-                        let unblocked = st.settle_ok(i, &dependents);
-                        st.ready.extend(unblocked);
-                    }
-                    Err(payload) => {
-                        st.remaining -= 1;
-                        st.record_panic(i, payload);
-                    }
-                }
-                cv.notify_all();
-            } else {
-                debug_assert!(
-                    st.running > 0,
-                    "DAG stalled: empty ready queue with nothing running"
-                );
-                st = cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-    };
-    let _: Vec<()> = run_workers(drivers, |w| {
-        let driver = &driver;
-        move || driver(w)
-    });
-
-    if let Some((_, payload)) = state
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .panic
-        .take()
-    {
-        resume_unwind(payload);
-    }
-    outputs
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .map(|o| o.expect("settled node produced no output"))
-        .collect()
-}
 
 /// Pool-native DAG execution: every node is its own single-task region at
 /// the node's priority, and the thread that settles the last dependency of
@@ -1007,7 +784,7 @@ fn run_dag_steal<'env, T: Send + 'env>(nodes: Vec<DagNode<'env, T>>, workers: us
     fn submit_node<'env, T: Send + 'env>(shared: &Shared<'env, T>, d: usize) {
         let f: Box<dyn FnOnce() + Send + '_> = Box::new(move || exec_node(shared, d));
         // SAFETY: lifetime erasure only, with the same protocol as
-        // `run_tasks_steal`: `run_dag_steal` does not return until every
+        // `run_tasks_prio`: `run_dag_steal` does not return until every
         // node settles (the `done_cv` wait below), each erased closure is
         // consumed by then, and all node regions are retired from the pool
         // registry before `Shared` leaves scope.
@@ -1053,7 +830,7 @@ fn run_dag_steal<'env, T: Send + 'env>(nodes: Vec<DagNode<'env, T>>, workers: us
     // The caller is always a worker: it drains DAG nodes and any other
     // region (nested sweeps) until the DAG settles, so even an otherwise
     // saturated pool makes progress — the nesting argument of
-    // `run_tasks_steal` carried over.
+    // `run_tasks_prio` carried over.
     let pool = Pool::get();
     loop {
         {
@@ -1120,12 +897,9 @@ mod tests {
 
     #[test]
     fn outputs_land_in_task_order() {
-        for mode in [SchedMode::Steal, SchedMode::Scoped] {
-            let _g = force_sched_mode(mode);
-            let tasks = boxed((0..37).map(|k| move || k * k).collect::<Vec<_>>());
-            let out = run_tasks(8, tasks);
-            assert_eq!(out, (0..37).map(|k| k * k).collect::<Vec<_>>(), "{mode:?}");
-        }
+        let tasks = boxed((0..37).map(|k| move || k * k).collect::<Vec<_>>());
+        let out = run_tasks(8, tasks);
+        assert_eq!(out, (0..37).map(|k| k * k).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1149,7 +923,6 @@ mod tests {
 
     #[test]
     fn borrows_from_callers_frame() {
-        let _g = force_sched_mode(SchedMode::Steal);
         let data: Vec<usize> = (0..1000).collect();
         let slice = &data[..];
         let tasks = boxed(
@@ -1163,7 +936,6 @@ mod tests {
 
     #[test]
     fn nested_run_tasks_completes() {
-        let _g = force_sched_mode(SchedMode::Steal);
         let tasks = boxed(
             (0..4)
                 .map(|outer| {
@@ -1186,7 +958,6 @@ mod tests {
 
     #[test]
     fn panic_propagates_lowest_task_index_first() {
-        let _g = force_sched_mode(SchedMode::Steal);
         let result = catch_unwind(AssertUnwindSafe(|| {
             let tasks = boxed(
                 (0..8)
@@ -1253,85 +1024,96 @@ mod tests {
 
     #[test]
     fn region_scan_honours_priority_then_submission_order() {
-        let regions = [
-            (Priority::Bulk, false),
-            (Priority::Normal, false),
-            (Priority::High, false),
-            (Priority::High, false),
-        ];
-        // Priority on: the oldest High region wins.
-        assert_eq!(pick_region_slot(&regions, true), Some(2));
-        // Priority off: flat submission order.
-        assert_eq!(pick_region_slot(&regions, false), Some(0));
-        // Drained regions are skipped under both disciplines.
-        let drained_high = [
-            (Priority::High, true),
-            (Priority::Bulk, false),
-            (Priority::Normal, false),
-        ];
-        assert_eq!(pick_region_slot(&drained_high, true), Some(2));
-        assert_eq!(pick_region_slot(&drained_high, false), Some(1));
+        // One-task regions; a drained one has had its task claimed.
+        let region = |priority: Priority, drained: bool| {
+            let r = Arc::new(Region::new(vec![Box::new(|| {})], priority));
+            if drained {
+                let _ = r.claim();
+            }
+            r
+        };
+        let picked = |regions: &VecDeque<Arc<Region>>| {
+            pick_region(regions).map(|p| regions.iter().position(|r| Arc::ptr_eq(r, &p)).unwrap())
+        };
+        // High before Normal before Bulk; the oldest High region wins.
+        let regions: VecDeque<_> = [
+            region(Priority::Bulk, false),
+            region(Priority::Normal, false),
+            region(Priority::High, false),
+            region(Priority::High, false),
+        ]
+        .into();
+        assert_eq!(picked(&regions), Some(2));
+        let regions: VecDeque<_> =
+            [region(Priority::Bulk, false), region(Priority::Normal, false)].into();
+        assert_eq!(picked(&regions), Some(1));
+        // Ties go to the oldest submission.
+        let regions: VecDeque<_> =
+            [region(Priority::Bulk, false), region(Priority::Bulk, false)].into();
+        assert_eq!(picked(&regions), Some(0));
+        // Drained regions are skipped.
+        let regions: VecDeque<_> = [
+            region(Priority::High, true),
+            region(Priority::Bulk, false),
+            region(Priority::Normal, false),
+        ]
+        .into();
+        assert_eq!(picked(&regions), Some(2));
         // Nothing to serve.
-        assert_eq!(pick_region_slot(&[(Priority::High, true)], true), None);
-        assert_eq!(pick_region_slot(&[], false), None);
+        assert_eq!(picked(&[region(Priority::High, true)].into()), None);
+        assert_eq!(picked(&VecDeque::new()), None);
     }
 
     #[test]
     fn dag_outputs_land_in_spawn_order() {
         let _cap = force_worker_cap(usize::MAX);
-        for mode in [SchedMode::Steal, SchedMode::Scoped] {
-            let _g = force_sched_mode(mode);
-            for workers in [1usize, 2, 4, 8] {
-                let mut dag: DagBuilder<'_, usize> = DagBuilder::new();
-                let mut handles = Vec::new();
-                for k in 0..13 {
-                    let deps: Vec<TaskHandle> = if k >= 2 {
-                        vec![handles[k - 1], handles[k - 2]]
-                    } else {
-                        Vec::new()
-                    };
-                    let prio = match k % 3 {
-                        0 => Priority::High,
-                        1 => Priority::Normal,
-                        _ => Priority::Bulk,
-                    };
-                    handles.push(dag.spawn_dependent(prio, &deps, move || k * k));
-                }
-                let out = dag.run(workers);
-                assert_eq!(
-                    out,
-                    (0..13).map(|k| k * k).collect::<Vec<_>>(),
-                    "{mode:?} workers={workers}"
-                );
+        for workers in [1usize, 2, 4, 8] {
+            let mut dag: DagBuilder<'_, usize> = DagBuilder::new();
+            let mut handles = Vec::new();
+            for k in 0..13 {
+                let deps: Vec<TaskHandle> = if k >= 2 {
+                    vec![handles[k - 1], handles[k - 2]]
+                } else {
+                    Vec::new()
+                };
+                let prio = match k % 3 {
+                    0 => Priority::High,
+                    1 => Priority::Normal,
+                    _ => Priority::Bulk,
+                };
+                handles.push(dag.spawn_dependent(prio, &deps, move || k * k));
             }
+            let out = dag.run(workers);
+            assert_eq!(
+                out,
+                (0..13).map(|k| k * k).collect::<Vec<_>>(),
+                "workers={workers}"
+            );
         }
     }
 
     #[test]
     fn dag_completion_counts_gate_dependents() {
         let _cap = force_worker_cap(usize::MAX);
-        for mode in [SchedMode::Steal, SchedMode::Scoped] {
-            let _g = force_sched_mode(mode);
-            let slot_a: Mutex<Option<usize>> = Mutex::new(None);
-            let slot_b: Mutex<Option<usize>> = Mutex::new(None);
-            let mut dag: DagBuilder<'_, ()> = DagBuilder::new();
-            let a = dag.spawn(Priority::Normal, || {
-                *slot_a.lock().unwrap() = Some(7);
-            });
-            let b = dag.spawn(Priority::Bulk, || {
-                *slot_b.lock().unwrap() = Some(35);
-            });
-            // The join node must observe both inputs: the completion count
-            // is the happens-before edge.
-            let joined: Mutex<Option<usize>> = Mutex::new(None);
-            let _c = dag.spawn_dependent(Priority::High, &[a, b], || {
-                let x = slot_a.lock().unwrap().expect("dep A settled");
-                let y = slot_b.lock().unwrap().expect("dep B settled");
-                *joined.lock().unwrap() = Some(x + y);
-            });
-            let _ = dag.run(4);
-            assert_eq!(*joined.lock().unwrap(), Some(42), "{mode:?}");
-        }
+        let slot_a: Mutex<Option<usize>> = Mutex::new(None);
+        let slot_b: Mutex<Option<usize>> = Mutex::new(None);
+        let mut dag: DagBuilder<'_, ()> = DagBuilder::new();
+        let a = dag.spawn(Priority::Normal, || {
+            *slot_a.lock().unwrap() = Some(7);
+        });
+        let b = dag.spawn(Priority::Bulk, || {
+            *slot_b.lock().unwrap() = Some(35);
+        });
+        // The join node must observe both inputs: the completion count is
+        // the happens-before edge.
+        let joined: Mutex<Option<usize>> = Mutex::new(None);
+        let _c = dag.spawn_dependent(Priority::High, &[a, b], || {
+            let x = slot_a.lock().unwrap().expect("dep A settled");
+            let y = slot_b.lock().unwrap().expect("dep B settled");
+            *joined.lock().unwrap() = Some(x + y);
+        });
+        let _ = dag.run(4);
+        assert_eq!(*joined.lock().unwrap(), Some(42));
     }
 
     #[test]
@@ -1356,29 +1138,25 @@ mod tests {
     #[test]
     fn dag_panic_cancels_dependents_and_propagates() {
         let _cap = force_worker_cap(usize::MAX);
-        for mode in [SchedMode::Steal, SchedMode::Scoped] {
-            let _g = force_sched_mode(mode);
-            let ran_dependent = Mutex::new(false);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let mut dag: DagBuilder<'_, ()> = DagBuilder::new();
-                let boom = dag.spawn(Priority::Normal, || panic!("node failed"));
-                let _dep = dag.spawn_dependent(Priority::Normal, &[boom], || {
-                    *ran_dependent.lock().unwrap() = true;
-                });
-                dag.run(4)
-            }));
-            let payload = result.expect_err("DAG node panicked");
-            let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-            assert_eq!(msg, "node failed", "{mode:?}");
-            assert!(!*ran_dependent.lock().unwrap(), "{mode:?}");
-        }
+        let ran_dependent = Mutex::new(false);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let mut dag: DagBuilder<'_, ()> = DagBuilder::new();
+            let boom = dag.spawn(Priority::Normal, || panic!("node failed"));
+            let _dep = dag.spawn_dependent(Priority::Normal, &[boom], || {
+                *ran_dependent.lock().unwrap() = true;
+            });
+            dag.run(4)
+        }));
+        let payload = result.expect_err("DAG node panicked");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(msg, "node failed");
+        assert!(!*ran_dependent.lock().unwrap());
     }
 
     #[test]
     fn pool_really_runs_concurrently() {
         use std::sync::atomic::AtomicBool;
         let _cap = force_worker_cap(usize::MAX);
-        let _g = force_sched_mode(SchedMode::Steal);
         // Two tasks that can only finish if they run at the same time.
         let a = AtomicBool::new(false);
         let b = AtomicBool::new(false);

@@ -45,8 +45,8 @@ pub use interp2::{
 };
 pub use obligations::{
     check_dynamic, check_dynamic_budget, check_dynamic_threads, check_refinement_1_2,
-    check_refinement_1_2_budget, obligation_axioms, obligation_completeness,
-    obligation_exploration, obligation_termination, plan_dynamic, DynamicFailure, DynamicPlan,
+    obligation_axioms, obligation_completeness, obligation_exploration, obligation_termination,
+    plan_dynamic, DynamicFailure, DynamicPlan,
     DynamicPrep, DynamicReport, DynamicUnitOutcome, Refine12Config, Refine12Report,
     StateViolation,
 };

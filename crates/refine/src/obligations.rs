@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use eclectic_algebraic::{completeness, termination, AlgSpec};
-use eclectic_kernel::{run_workers_prio, Budget, BudgetExceeded, Exhaustion, IndexQueue, Priority};
+use eclectic_kernel::{run_tasks_prio, Budget, BudgetExceeded, Exhaustion, Priority};
 use eclectic_logic::{Domains, Elem, Formula, Signature, Theory, Valuation};
 use eclectic_rpr::pdl::Pdl;
 use eclectic_rpr::{denote, pdl, DbState, DenoteCache, FiniteUniverse, RprError, Schema, Stmt};
@@ -124,10 +124,15 @@ impl Refine12Report {
     }
 }
 
-/// Checks obligations (a), (b) and (d) for `T2` against `T1` under `I`.
+/// Checks obligations (a), (b) and (d) for `T2` against `T1` under `I`,
+/// with `ECLECTIC_THREADS` workers (see [`eclectic_kernel::env_threads`])
+/// and the deadline and node cap of `config`. When the exploration
+/// exhausts the budget the axiom sweep is skipped and the partial report
+/// carries the exhaustion — see [`Refine12Report::exhausted`].
 ///
 /// # Errors
-/// Propagates exploration and evaluation errors.
+/// Propagates exploration and evaluation errors; budget exhaustion is *not*
+/// an error.
 pub fn check_refinement_1_2(
     theory: &Theory,
     spec: &AlgSpec,
@@ -136,42 +141,13 @@ pub fn check_refinement_1_2(
     domains: &Arc<Domains>,
     config: Refine12Config,
 ) -> Result<Refine12Report> {
-    check_refinement_1_2_budget(
-        theory,
-        spec,
-        interp,
-        info_sig,
-        domains,
-        config,
-        &config.budget(),
-    )
-}
-
-/// As [`check_refinement_1_2`], governed by an explicit [`Budget`] (shared
-/// with other stages by the caller; `config.deadline_ms`/`config.max_nodes`
-/// are ignored in favour of `budget`). When the completeness pass or the
-/// exploration exhausts the budget, the remaining obligations are skipped
-/// and the partial report carries the exhaustion — see
-/// [`Refine12Report::exhausted`].
-///
-/// # Errors
-/// Propagates exploration and evaluation errors; budget exhaustion is *not*
-/// an error.
-pub fn check_refinement_1_2_budget(
-    theory: &Theory,
-    spec: &AlgSpec,
-    interp: &InterpretationI,
-    info_sig: &Arc<Signature>,
-    domains: &Arc<Domains>,
-    config: Refine12Config,
-    budget: &Budget,
-) -> Result<Refine12Report> {
+    let budget = config.budget();
     let threads = eclectic_kernel::env_threads();
     let termination = obligation_termination(spec)?;
     let completeness =
-        obligation_completeness(spec, config.completeness_depth, budget, threads)?;
+        obligation_completeness(spec, config.completeness_depth, &budget, threads)?;
     let exploration =
-        obligation_exploration(spec, interp, info_sig, domains, config.limits, budget, threads)?;
+        obligation_exploration(spec, interp, info_sig, domains, config.limits, &budget, threads)?;
     let (static_violations, transition_violations) =
         obligation_axioms(theory, spec, config.policy, &exploration)?;
     Ok(Refine12Report {
@@ -314,8 +290,9 @@ pub struct DynamicReport {
     pub unchecked_procs: Vec<String>,
     /// Set when the universe exceeded the cap and the check was skipped.
     pub skipped: Option<String>,
-    /// Denotation-cache counters for the run (one shared cache; every
-    /// functionality read reuses the totality phase's denotation).
+    /// Denotation-cache counters for the run, summed over the
+    /// per-procedure caches (every functionality read reuses the totality
+    /// phase's denotation).
     pub cache_stats: eclectic_rpr::CacheStats,
     /// Set when a [`Budget`] tripped: `checked` then counts the
     /// applications verified before stopping.
@@ -354,12 +331,17 @@ pub fn check_dynamic_threads(
     check_dynamic_budget(schema, template, cap, &Budget::unlimited(), threads)
 }
 
-/// As [`check_dynamic_threads`], governed by a [`Budget`]. Workers poll the
-/// budget before each serial-order application slot with the slot index, so
-/// a node cap stops after the same number of applications at every worker
-/// count; deadline and cancellation stops report the applications whose
-/// serial-order prefix completed. Exhaustion returns the partial report
-/// with `exhausted` set instead of failing.
+/// As [`check_dynamic_threads`], governed by a [`Budget`]: the one
+/// dynamic-obligation runner. [`plan_dynamic`] flattens the applications,
+/// each procedure's [`DynamicPlan::run_proc`] unit runs as a
+/// [`Priority::Bulk`] pool task with its own denotation cache, and
+/// [`DynamicPlan::merge`] replays the units in serial slot order; the
+/// worker count is capped by [`eclectic_kernel::effective_workers`]. Units
+/// poll the budget before each application slot with the global slot
+/// index, so a node cap stops after the same number of applications at
+/// every worker count; deadline and cancellation stops report the
+/// applications whose serial-order prefix completed. Exhaustion returns the
+/// partial report with `exhausted` set instead of failing.
 ///
 /// # Errors
 /// See [`check_dynamic`]; budget exhaustion is *not* an error.
@@ -374,11 +356,19 @@ pub fn check_dynamic_budget(
         DynamicPrep::Done(report) => return Ok(report),
         DynamicPrep::Plan(plan) => plan,
     };
-    let threads = eclectic_kernel::effective_workers(threads);
-    if threads <= 1 || plan.apps.len() < 2 {
-        return plan.run_serial(budget, threads);
-    }
-    plan.run_striding(budget, threads)
+    let n = plan.procs();
+    let plan_ref = &plan;
+    let units: Vec<Box<dyn FnOnce() -> Result<DynamicUnitOutcome> + Send + '_>> = (0..n)
+        .map(|i| {
+            Box::new(move || plan_ref.run_proc(i, budget, 1))
+                as Box<dyn FnOnce() -> Result<DynamicUnitOutcome> + Send + '_>
+        })
+        .collect();
+    let workers = eclectic_kernel::effective_workers(threads).min(n);
+    let outcomes = run_tasks_prio(workers, Priority::Bulk, units)
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
+    Ok(plan.merge(outcomes, budget))
 }
 
 /// The per-application results of one dynamic obligation unit: slot-keyed
@@ -403,10 +393,9 @@ pub enum DynamicPrep<'s> {
 
 /// The flattened dynamic-obligation workload: the enumerated universe plus
 /// every (procedure, argument-tuple) application in serial order, grouped
-/// into per-procedure slot ranges so an obligation-DAG scheduler can run
+/// into per-procedure slot ranges so [`check_dynamic_budget`] can run
 /// [`DynamicPlan::run_proc`] units in parallel and [`DynamicPlan::merge`]
-/// their outcomes into the same report the monolithic
-/// [`check_dynamic_budget`] produces.
+/// their outcomes into one report.
 pub struct DynamicPlan<'s> {
     u: FiniteUniverse,
     apps: Vec<(&'s eclectic_rpr::ProcDecl, Vec<Elem>, Valuation)>,
@@ -496,12 +485,6 @@ impl<'s> DynamicPlan<'s> {
         self.proc_ranges.len()
     }
 
-    /// Total number of application slots.
-    #[must_use]
-    pub fn apps_len(&self) -> usize {
-        self.apps.len()
-    }
-
     /// Runs the dynamic obligations of procedure unit `i` (one contiguous
     /// slot range, processed in increasing serial order with a private
     /// denotation cache), polling `budget` at each global slot index. The
@@ -537,7 +520,7 @@ impl<'s> DynamicPlan<'s> {
     /// Replays per-unit outcomes in serial slot order into the final
     /// report: earliest stop wins, every slot below it has a verdict, and
     /// the failure list is bit-identical however the units were scheduled.
-    /// Cache counters are summed across units and are scheduling-dependent.
+    /// Cache counters are summed across units.
     #[must_use]
     pub fn merge(self, outcomes: Vec<DynamicUnitOutcome>, budget: &Budget) -> DynamicReport {
         let mut report = self.base;
@@ -566,80 +549,6 @@ impl<'s> DynamicPlan<'s> {
         }
         report
     }
-
-    /// The pre-plan serial path: one shared denotation cache over all
-    /// applications, row-level parallelism inside the relational operators
-    /// when `threads > 1`.
-    fn run_serial(self, budget: &Budget, threads: usize) -> Result<DynamicReport> {
-        let mut report = self.base;
-        let mut cache = DenoteCache::new();
-        for (k, (proc, args, env)) in self.apps.iter().enumerate() {
-            if let Some(reason) = budget.check(k) {
-                report.checked = k;
-                report.exhausted = Some(budget.exhaustion("dynamic", reason, k));
-                break;
-            }
-            // With a single application slot the row-level parallelism
-            // inside the relational operators still applies.
-            match check_application(&self.u, proc, args, env, &mut cache, &self.timing, threads) {
-                Ok(failures) => report.failures.extend(failures),
-                Err(e) => match crate::reach::budget_stop(&e) {
-                    Some(reason) => {
-                        report.checked = k;
-                        report.exhausted = Some(budget.exhaustion("dynamic", reason, k));
-                        break;
-                    }
-                    None => return Err(e),
-                },
-            }
-        }
-        report.cache_stats = cache.stats();
-        Ok(report)
-    }
-
-    /// The chain-DAG parallel path: workers stride over all applications
-    /// through an [`IndexQueue`], each with its own denotation cache (the
-    /// environment differs between applications, so cross-application
-    /// sharing is marginal; within one application the totality and
-    /// functionality reads share the body's denotation).
-    fn run_striding(self, budget: &Budget, threads: usize) -> Result<DynamicReport> {
-        let workers = threads.min(self.apps.len());
-        let queue = IndexQueue::new(self.apps.len(), workers);
-        let results: Vec<Result<DynamicUnitOutcome>> =
-            run_workers_prio(workers, Priority::Bulk, |_| {
-                let apps = &self.apps;
-                let u = &self.u;
-                let timing = &self.timing;
-                let queue = &queue;
-                move || {
-                    let mut cache = DenoteCache::new();
-                    let mut out = Vec::new();
-                    let mut stop = None;
-                    'claims: while let Some(range) = queue.claim() {
-                        for k in range {
-                            let (proc, args, env) = &apps[k];
-                            if let Some(reason) = budget.check(k) {
-                                stop = Some((k, reason));
-                                break 'claims;
-                            }
-                            match check_application(u, proc, args, env, &mut cache, timing, 1) {
-                                Ok(failures) => out.push((k, failures)),
-                                Err(e) => match crate::reach::budget_stop(&e) {
-                                    Some(reason) => {
-                                        stop = Some((k, reason));
-                                        break 'claims;
-                                    }
-                                    None => return Err(e),
-                                },
-                            }
-                        }
-                    }
-                    Ok((out, cache.stats(), stop))
-                }
-            });
-        let outcomes = results.into_iter().collect::<Result<Vec<_>>>()?;
-        Ok(self.merge(outcomes, budget))
-    }
 }
 
 /// Checks one procedure application's contracts: totality is the PDL
@@ -659,8 +568,8 @@ fn check_application(
     let batch =
         pdl::check_batch_budget_with(std::slice::from_ref(&total), u, env, cache, timing, threads)?;
     if let Some(ex) = batch.exhausted {
-        // Re-raise as an error so the striding loops unwind; the wrappers
-        // convert it back into a graceful partial report.
+        // Re-raise as an error so the unit loop stops; `run_proc` converts
+        // it back into a slot-indexed budget stop.
         return Err(crate::reach::budget_err(ex.reason));
     }
     if !batch.valid[0] {

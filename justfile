@@ -15,7 +15,6 @@ verify:
     timeout 900 cargo run -p eclectic-bench --bin bench_pdl_parallel --release
     timeout 900 cargo run -p eclectic-bench --bin bench_rel_crossover --release
     timeout 900 env ECLECTIC_MAX_REL_BYTES=67108864 cargo run -p eclectic-bench --bin bench_rel_crossover --release -- large
-    timeout 900 cargo run -p eclectic-bench --bin bench_sched --release
     timeout 900 cargo run -p eclectic-bench --bin bench_scenarios --release -- --smoke
 
 # Lints alone, warnings denied — the clippy slice of `just verify`.
@@ -57,14 +56,6 @@ bench-rel:
 bench-rel-large:
     timeout 900 env ECLECTIC_MAX_REL_BYTES=67108864 cargo run -p eclectic-bench --bin bench_rel_crossover --release -- large
 
-# Chain-shaped vs obligation-shaped verify battery (plus the scoped-thread
-# baseline) at 1/2/4/8 real workers (bit-identity, including node-capped
-# partials, asserted in-bench across every mode × shape × worker-count
-# combination); regenerates BENCH_sched.json — part of `just verify`, so
-# the artifact never drifts from the code.
-bench-sched:
-    timeout 900 cargo run -p eclectic-bench --bin bench_sched --release
-
 # Differential fuzzing smoke: a fixed 32-seed corpus through the full
 # engine grid; fails on any divergence or generator panic.
 fuzz-smoke:
@@ -91,5 +82,12 @@ perfbench-one WORKLOAD SEED:
 
 # Every benchmark artifact in one shot: harness + all parallel benches,
 # closing with the starved-host warning status recorded in the artifacts.
-bench-all: harness bench-reach bench-verify bench-pdl bench-rel bench-rel-large bench-sched fuzz
+bench-all: harness bench-reach bench-verify bench-pdl bench-rel bench-rel-large fuzz
     @grep -o '"warning": [^,]*' BENCH_rel.json
+
+# Rust line counts under crates/, src/ and tests/: non-test (every .rs file
+# outside a tests/ directory; in-file #[cfg(test)] modules count here) and
+# total.
+loc:
+    @echo "non-test $(find crates src -name '*.rs' -not -path '*/tests/*' -exec cat {} + | wc -l)"
+    @echo "total    $(find crates src tests -name '*.rs' -exec cat {} + | wc -l)"
